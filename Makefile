@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-short test-race cover bench fuzz fuzz-smoke oracle-race par-race shard-race partition-race policy-race typed-race serve-smoke obs-smoke shard-bench policy-bench perf-gate perf-baseline experiments experiments-quick examples clean
+.PHONY: all check build vet test test-short test-race cover bench bench-test fuzz fuzz-smoke oracle-race par-race shard-race partition-race policy-race typed-race serve-smoke obs-smoke shard-bench policy-bench perf-gate perf-baseline experiments experiments-quick examples clean
 
 all: build vet test
 
@@ -13,9 +13,9 @@ all: build vet test
 # under the race detector, the typed processor model under the race detector,
 # an end-to-end boot/admit/drain check of the fedschedd daemon, a smoke test
 # of its observability surface (/metrics, pprof, ?trace=1, flight recorder,
-# audit log), and the continuous perf-regression gate over the pinned
-# benchmark set.
-check: vet build test-race oracle-race par-race shard-race partition-race policy-race typed-race fuzz-smoke serve-smoke obs-smoke perf-gate
+# audit log), the admission benchmark's own module (bench-test), and the
+# continuous perf-regression gate over the pinned benchmark set.
+check: vet build test-race oracle-race par-race shard-race partition-race policy-race typed-race fuzz-smoke serve-smoke obs-smoke bench-test perf-gate
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,12 @@ cover:
 # One benchmark per evaluation experiment (E1–E21) plus package micro-benches.
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The admission benchmark (bench/, a Go module of its own that imports the
+# daemon's internal packages): vet and test it, so an API change in the
+# root module cannot silently break `bash bench/run.sh`.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzzing sessions over the decoders and the QPA cross-check.
 fuzz:

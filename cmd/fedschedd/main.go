@@ -86,7 +86,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		sloLatency   = fs.Duration("slo-latency", 0, "admit-latency SLO budget for the burn-rate metrics (0 = default 5ms); loadgen: client-side budget for the SLO summary")
 		sloWindow    = fs.Duration("slo-window", 0, "rolling window for the SLO burn-rate metrics (0 = default 1m)")
 		walDump      = fs.String("wal-dump", "", "dump the WAL at this path (file, shard dir, or -wal-dir root) as JSON lines and exit")
-		par          = fs.Int("par", runtime.GOMAXPROCS(0), "Phase-1 analysis worker pool size for cold (batch) admissions; verdicts are identical for every value")
+		par          = fs.Int("par", runtime.GOMAXPROCS(0), "Phase-1 analysis worker pool size for every full analysis with ≥ 2 high-density tasks: cold and batch admissions, and recovery; verdicts are identical for every value")
 		admitTimeout = fs.Duration("admit-timeout", 2*time.Second, "per-request admission deadline")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain budget")
 		verbose      = fs.Bool("v", false, "log a one-line summary of every admission (trace ID, verdict, latency, cache hit/miss)")

@@ -84,22 +84,30 @@ func procTypeOf(mtypes []int, p int) int {
 // policy tag cleared so the per-type budgets hit the strict verifier, a
 // vertex's processor type flipped in the system the allocation is audited
 // against, two dedicated processors of different types swapped in a grant's
-// local→global mapping, and a type's budget zeroed.
+// local→global mapping, and a type's budget zeroed. Mutation 17 places an
+// out-of-range partition index (−1 on even seeds, one past the partitioned
+// tasks on odd ones) on a strict allocation's first shared processor.
 func FuzzVerifyAllocation(f *testing.F) {
 	for seed := uint32(0); seed < 4; seed++ {
 		for mut := uint8(0); mut < 17; mut++ {
 			f.Add(seed, mut)
 		}
 	}
+	// Mutation 17 seeds go after the others so the earlier seeds keep
+	// their corpus indices.
+	for seed := uint32(0); seed < 4; seed++ {
+		f.Add(seed, uint8(17))
+	}
 	f.Fuzz(func(t *testing.T, seed uint32, mut uint8) {
 		r := rand.New(rand.NewSource(int64(seed)))
 		sys := core.FuzzSystemForTest(r, 2+r.Intn(4))
-		mut %= 17
+		mut %= 18
+		typed, split := mut >= 13 && mut < 17, mut >= 8 && mut < 13
 		var opt core.Options
-		if mut >= 13 {
+		if typed {
 			opt.Policy = core.PolicyTyped
 			sys = retypeSysForFuzz(r, sys, 0.3)
-		} else if mut >= 8 {
+		} else if split {
 			opt.Policy = core.PolicySemi
 			if seed%2 == 1 {
 				opt.Policy = core.PolicyReservation
@@ -108,7 +116,7 @@ func FuzzVerifyAllocation(f *testing.F) {
 		var alloc *core.Allocation
 		var m int
 		for m = 2; m <= 8; m++ {
-			if mut >= 13 {
+			if typed {
 				// Both budgets positive: a genuinely heterogeneous platform,
 				// so the typed path cannot degenerate to strict FEDCONS.
 				opt.MTypes = []int{m - m/2, m / 2}
@@ -122,10 +130,10 @@ func FuzzVerifyAllocation(f *testing.F) {
 		if alloc == nil {
 			t.Skip("system rejected on every platform size")
 		}
-		if mut >= 13 && len(alloc.MTypes) == 0 {
+		if typed && len(alloc.MTypes) == 0 {
 			t.Skip("typed allocation degenerated to the strict shape")
 		}
-		if mut >= 8 && mut < 13 && (alloc.Policy == "" || len(alloc.Servers) == 0) {
+		if split && (alloc.Policy == "" || len(alloc.Servers) == 0) {
 			// Either the policy fell back to the strict shape, or the system
 			// has no high-density tasks so the split shape degenerates to a
 			// pure partition — nothing fractional to corrupt either way.
@@ -240,6 +248,16 @@ func FuzzVerifyAllocation(f *testing.F) {
 			mutated.MTypes = append([]int(nil), mutated.MTypes...)
 			mutated.MTypes[1] = 0
 			desc = "type-b budget zeroed"
+		case 17:
+			if len(mutated.SharedProcs) == 0 {
+				t.Skip("no shared processor to corrupt")
+			}
+			bad := -1
+			if seed%2 == 1 {
+				bad = len(mutated.LowIndices)
+			}
+			mutated.Low.Assignment[0] = append(mutated.Low.Assignment[0], bad)
+			desc = "partition index out of range"
 		}
 		if err := core.Verify(checkSys, m, mutated); err == nil {
 			t.Fatalf("mutated allocation (%s, policy %q) passed Verify; seed=%d", desc, alloc.Policy, seed)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"fedsched/internal/dbf"
 	"fedsched/internal/partition"
 	"fedsched/internal/task"
 )
@@ -136,200 +135,4 @@ func liftPartitionError(err error, servers []ServerSpec, lowIndices []int, newId
 		fe.TaskName = pf.TaskName
 	}
 	return fe
-}
-
-// VerifyDelta audits an allocation produced by AdmitLow/RemoveLow against the
-// mutated system, assuming Verify(baseSys, m, base) == nil for the state it
-// was derived from. It performs every structural check Verify performs —
-// coverage, density classes, processor ownership, template shape and
-// makespan-window bounds, partition coverage — in full, and elides only the
-// two expensive semantic re-checks where the audited object is pointer-
-// identical to its already-verified counterpart in base: a high-density
-// template validation is skipped when the (task, template, processors) triple
-// is unchanged, and a shared processor's exact EDF feasibility test is
-// skipped when the identical task pointers sit on it in the identical order.
-// Anything not provably unchanged is re-verified; callers needing an
-// unconditional audit use Verify.
-//
-// Like Verify, VerifyDelta dispatches on the allocation's shape tag; the
-// base and the new allocation must carry the same tag (a policy change is a
-// full re-analysis, not a delta).
-func VerifyDelta(sys task.System, m int, a *Allocation, baseSys task.System, base *Allocation) error {
-	if a == nil || base == nil {
-		return fmt.Errorf("fedcons: nil allocation")
-	}
-	if a.Policy != base.Policy {
-		return fmt.Errorf("fedcons: delta audit across a policy change (%q → %q); use Verify", base.Policy, a.Policy)
-	}
-	switch a.Policy {
-	case "":
-		return verifyDeltaStrict(sys, m, a, baseSys, base)
-	case PolicySemi, PolicyReservation:
-		if a.M != m || base.M != m {
-			return fmt.Errorf("fedcons: allocation for m=%d (base m=%d), want %d", a.M, base.M, m)
-		}
-		if len(a.High) != len(base.High) || len(a.Servers) != len(base.Servers) {
-			return fmt.Errorf("fedcons: delta audit across a high-density change (%d+%d → %d+%d grants); use Verify",
-				len(base.High), len(base.Servers), len(a.High), len(a.Servers))
-		}
-		return verifySplitBase(sys, m, a, baseSys, base)
-	case PolicyTyped:
-		// Typed allocations take the batch path (no warm deltas), so a typed
-		// delta audit is simply the full audit.
-		return verifyTyped(sys, m, a)
-	default:
-		return fmt.Errorf("fedcons: allocation tagged with unknown policy %q", a.Policy)
-	}
-}
-
-// verifyDeltaStrict is the strict-shape delta auditor behind VerifyDelta.
-func verifyDeltaStrict(sys task.System, m int, a *Allocation, baseSys task.System, base *Allocation) error {
-	if len(a.Servers) > 0 {
-		return fmt.Errorf("fedcons: a strict allocation must not carry reservation servers, found %d", len(a.Servers))
-	}
-	if len(a.MTypes) > 0 {
-		return fmt.Errorf("fedcons: a strict allocation must not carry per-type processor budgets")
-	}
-	if a.M != m || base.M != m {
-		return fmt.Errorf("fedcons: allocation for m=%d (base m=%d), want %d", a.M, base.M, m)
-	}
-	if len(a.High) != len(base.High) {
-		return fmt.Errorf("fedcons: delta audit across a high-density change (%d → %d tasks); use Verify", len(base.High), len(a.High))
-	}
-	owned := make([]int, m) // 0 = unused, 1 = dedicated, 2 = shared
-	covered := make([]bool, len(sys))
-
-	for i, h := range a.High {
-		if h.TaskIndex < 0 || h.TaskIndex >= len(sys) {
-			return fmt.Errorf("fedcons: high assignment index %d out of range", h.TaskIndex)
-		}
-		tk := sys[h.TaskIndex]
-		if covered[h.TaskIndex] {
-			return fmt.Errorf("fedcons: task %d assigned twice", h.TaskIndex)
-		}
-		covered[h.TaskIndex] = true
-		if !tk.HighDensity() {
-			return fmt.Errorf("fedcons: task %d (δ=%.3f) is low-density but got dedicated processors", h.TaskIndex, tk.Density())
-		}
-		if len(h.Procs) == 0 {
-			return fmt.Errorf("fedcons: task %d granted zero processors", h.TaskIndex)
-		}
-		for _, p := range h.Procs {
-			if p < 0 || p >= m {
-				return fmt.Errorf("fedcons: processor %d out of range", p)
-			}
-			if owned[p] != 0 {
-				return fmt.Errorf("fedcons: processor %d claimed twice", p)
-			}
-			owned[p] = 1
-		}
-		if h.Template == nil {
-			return fmt.Errorf("fedcons: task %d has no template schedule", h.TaskIndex)
-		}
-		if h.Template.M != len(h.Procs) {
-			return fmt.Errorf("fedcons: task %d template uses %d processors, granted %d", h.TaskIndex, h.Template.M, len(h.Procs))
-		}
-		b := base.High[i]
-		unchanged := h.Template == b.Template && tk == baseSys[b.TaskIndex] && equalInts(h.Procs, b.Procs)
-		if !unchanged {
-			if err := h.Template.Validate(tk.G); err != nil {
-				return fmt.Errorf("fedcons: task %d template invalid: %w", h.TaskIndex, err)
-			}
-		}
-		if w := window(tk); h.Template.Makespan > w {
-			return fmt.Errorf("fedcons: task %d template makespan %d exceeds window min(D,T)=%d", h.TaskIndex, h.Template.Makespan, w)
-		}
-	}
-
-	for _, p := range a.SharedProcs {
-		if p < 0 || p >= m {
-			return fmt.Errorf("fedcons: shared processor %d out of range", p)
-		}
-		if owned[p] != 0 {
-			return fmt.Errorf("fedcons: shared processor %d also dedicated", p)
-		}
-		owned[p] = 2
-	}
-
-	for _, i := range a.LowIndices {
-		if i < 0 || i >= len(sys) {
-			return fmt.Errorf("fedcons: low index %d out of range", i)
-		}
-		if covered[i] {
-			return fmt.Errorf("fedcons: task %d assigned twice", i)
-		}
-		covered[i] = true
-		if sys[i].HighDensity() {
-			return fmt.Errorf("fedcons: task %d (δ=%.3f) is high-density but was partitioned", i, sys[i].Density())
-		}
-	}
-	for i, ok := range covered {
-		if !ok {
-			return fmt.Errorf("fedcons: task %d unassigned", i)
-		}
-	}
-
-	if a.Low == nil {
-		return fmt.Errorf("fedcons: nil partition result")
-	}
-	if len(a.Low.Assignment) != len(a.SharedProcs) {
-		return fmt.Errorf("fedcons: partition: result covers %d processors, want %d", len(a.Low.Assignment), len(a.SharedProcs))
-	}
-	seen := make([]bool, len(a.LowIndices))
-	sameShared := base.Low != nil && len(base.Low.Assignment) == len(a.Low.Assignment) && equalInts(a.SharedProcs, base.SharedProcs)
-	for k := range a.Low.Assignment {
-		for _, pos := range a.Low.Assignment[k] {
-			if pos < 0 || pos >= len(a.LowIndices) {
-				return fmt.Errorf("fedcons: partition: index %d out of range", pos)
-			}
-			if seen[pos] {
-				return fmt.Errorf("fedcons: partition: task %d assigned twice", pos)
-			}
-			seen[pos] = true
-		}
-		if sameShared && sameProcTasks(sys, a, baseSys, base, k) {
-			continue // identical already-audited task set on this processor
-		}
-		set := make([]task.Sporadic, 0, len(a.Low.Assignment[k]))
-		for _, pos := range a.Low.Assignment[k] {
-			set = append(set, sys[a.LowIndices[pos]].AsSporadic())
-		}
-		if !dbf.ExactFeasible(set) {
-			return fmt.Errorf("fedcons: partition: processor %d not EDF-schedulable: %v", k, set)
-		}
-	}
-	for pos, ok := range seen {
-		if !ok {
-			return fmt.Errorf("fedcons: partition: task %d unassigned", pos)
-		}
-	}
-	return nil
-}
-
-// sameProcTasks reports whether shared processor k carries pointer-identical
-// tasks, in identical order, in a and base — the condition under which base's
-// exact-EDF audit of that processor transfers to a.
-func sameProcTasks(sys task.System, a *Allocation, baseSys task.System, base *Allocation, k int) bool {
-	ap, bp := a.Low.Assignment[k], base.Low.Assignment[k]
-	if len(ap) != len(bp) {
-		return false
-	}
-	for j := range ap {
-		if sys[a.LowIndices[ap[j]]] != baseSys[base.LowIndices[bp[j]]] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -195,6 +195,108 @@ func TestVerifyDeltaCatchesCorruption(t *testing.T) {
 			t.Errorf("%s: corruption passed the delta audit", tc.name)
 		}
 	}
+
+	// The split shapes, whose policies live outside core, as hand-built
+	// bases: h (vol 10, len 2, window 8) is served by one dedicated
+	// processor plus a budget-4 server (semi: 1·8 + 4 ≥ 10 + 1·2) or by two
+	// budget-6 servers (reservation: 6 + 6 ≥ 10 + 1·2).
+	splitSys := task.System{
+		highTask("h", 5, 2, 8, 10),
+		lowTask("a", 2, 8, 10),
+		lowTask("b", 3, 9, 12),
+	}
+	for _, sc := range []struct {
+		policy  string
+		procs   []int
+		budgets []Time
+	}{
+		{PolicySemi, []int{0}, []Time{4}},
+		{PolicyReservation, nil, []Time{6, 6}},
+	} {
+		base, st := splitBase(t, splitSys, m, sc.policy, sc.procs, sc.budgets)
+		grown := append(splitSys.Clone(), tk)
+		a, err := AdmitLow(base, st, tk)
+		if err != nil {
+			t.Fatalf("%s: %v", sc.policy, err)
+		}
+		if err := VerifyDelta(grown, m, a, splitSys, base); err != nil {
+			t.Fatalf("%s: genuine delta rejected: %v", sc.policy, err)
+		}
+		corrupt := []struct {
+			name string
+			mut  func(bad *Allocation, badSys task.System)
+		}{
+			{"zero-server-budget", func(bad *Allocation, _ task.System) { bad.Servers[0].Budget = 0 }},
+			{"server-budget-past-window", func(bad *Allocation, badSys task.System) {
+				bad.Servers[0].Budget = window(badSys[bad.Servers[0].TaskIndex]) + 1
+			}},
+			{"dropped-server", func(bad *Allocation, _ task.System) { bad.Servers = bad.Servers[:len(bad.Servers)-1] }},
+			{"low-task-swapped-heavier-beside-server", func(bad *Allocation, badSys task.System) {
+				ns := len(bad.Servers)
+				for _, procTasks := range bad.Low.Assignment {
+					hasServer, low := false, -1
+					for _, pos := range procTasks {
+						if pos < ns {
+							hasServer = true
+						} else if low < 0 {
+							low = bad.LowIndices[pos-ns]
+						}
+					}
+					if hasServer && low >= 0 {
+						old := badSys[low]
+						badSys[low] = lowTask(old.Name, old.D-1, old.D, old.D)
+						return
+					}
+				}
+				t.Fatalf("%s: no shared processor carries both a server and a low task", sc.policy)
+			}},
+		}
+		for _, tc := range corrupt {
+			bad := cloneAlloc(a)
+			badSys := append(task.System{}, grown...)
+			tc.mut(bad, badSys)
+			if err := VerifyDelta(badSys, m, bad, splitSys, base); err == nil {
+				t.Errorf("%s/%s: corruption passed the delta audit", sc.policy, tc.name)
+			}
+		}
+	}
+}
+
+// splitBase hand-builds the split-shape allocation a semi or reservation
+// policy would install for sys on m processors: task 0 is served by the
+// dedicated processors procs plus one server per budget, and the remaining
+// tasks are partitioned with the servers onto the other processors. It
+// returns the verified allocation and the partition.State mirroring it.
+func splitBase(t *testing.T, sys task.System, m int, policy string, procs []int, budgets []Time) (*Allocation, *partition.State) {
+	t.Helper()
+	a := &Allocation{M: m, Policy: policy}
+	if len(procs) > 0 {
+		a.High = []HighAssignment{{TaskIndex: 0, Procs: procs}}
+	}
+	for _, b := range budgets {
+		a.Servers = append(a.Servers, ServerSpec{TaskIndex: 0, Budget: b})
+	}
+	for p := len(procs); p < m; p++ {
+		a.SharedProcs = append(a.SharedProcs, p)
+	}
+	for i := 1; i < len(sys); i++ {
+		a.LowIndices = append(a.LowIndices, i)
+	}
+	part, err := PartitionSystem(sys, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Low, err = partition.Partition(part, len(a.SharedProcs), partition.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(sys, m, a); err != nil {
+		t.Fatalf("%s base: %v", policy, err)
+	}
+	st, err := partition.Rebuild(part, len(a.SharedProcs), a.Low, partition.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, st
 }
 
 // TestVerifyDeltaRefusesHighChange: a mutation that alters the high-density

@@ -5,8 +5,6 @@ import (
 	"sort"
 
 	"fedsched/internal/dag"
-	"fedsched/internal/dbf"
-	"fedsched/internal/partition"
 	"fedsched/internal/task"
 )
 
@@ -22,9 +20,10 @@ import (
 //
 //   - the policy registry Schedule and the service layer dispatch through;
 //   - the split allocation shape (Allocation.Policy + Allocation.Servers) and
-//     the construction of server tasks for the shared Phase-2 partitioner;
-//   - the policy-aware verifier for split-shape allocations, so Verify can
-//     audit any registered policy's output without importing it.
+//     the construction of server tasks for the shared Phase-2 partitioner.
+//
+// The split shapes' entries in the auditor's shape table (verify.go) let
+// Verify audit their output without importing the policy packages.
 //
 // Soundness of the split shape rests on one lemma (Ueter et al., Lemma 2 /
 // Theorem 1 specialized to equal-deadline reservations): if a DAG task τ_i
@@ -37,7 +36,7 @@ import (
 //
 //	d_i·w_i + Σ_j E_j  ≥  vol_i + (r_i − 1)·len_i.
 //
-// verifySplit re-checks exactly this inequality per high-density task, plus
+// Verify re-checks exactly this inequality per high-density task, plus
 // EDF-feasibility of the servers' placement on the shared processors, so a
 // mutated budget or dropped server never verifies.
 
@@ -170,6 +169,9 @@ type ServerSpec struct {
 // daemon verdicts and the partitionable system built by PartitionSystem all
 // agree.
 func ServerNames(sys task.System, a *Allocation) []string {
+	if len(a.Servers) == 0 {
+		return nil
+	}
 	seq := make(map[int]int, len(a.Servers))
 	names := make([]string, len(a.Servers))
 	for j, sv := range a.Servers {
@@ -235,216 +237,4 @@ func systemSize(a *Allocation) int {
 		}
 	}
 	return n
-}
-
-// verifySplit audits a split-shape allocation (a.Policy "semi" or
-// "reservation") from scratch; see verifySplitBase for the checks.
-func verifySplit(sys task.System, m int, a *Allocation) error {
-	return verifySplitBase(sys, m, a, nil, nil)
-}
-
-// verifySplitBase is the split-shape auditor. With base == nil every shared
-// processor's exact EDF feasibility is re-checked (the Verify path); with a
-// verified base (the VerifyDelta path) a processor's EDF test is elided when
-// it provably carries the identical workload — value-equal server specs with
-// pointer-identical owners, and pointer-identical low-density tasks, in
-// identical order. Everything else — coverage, ownership, budget ranges, the
-// Ueter service inequality — is always re-checked in full.
-func verifySplitBase(sys task.System, m int, a *Allocation, baseSys task.System, base *Allocation) error {
-	if a.M != m {
-		return fmt.Errorf("fedcons: allocation for m=%d, want %d", a.M, m)
-	}
-	if len(a.MTypes) > 0 {
-		return fmt.Errorf("fedcons: a %s-shape allocation must not carry per-type processor budgets", a.Policy)
-	}
-	owned := make([]int, m) // 0 = unused, 1 = dedicated, 2 = shared
-	covered := make([]int, len(sys))
-
-	// Dedicated-processor grants. A split-shape grant has no template: the
-	// dag-job is dispatched work-conservingly inside its reservations, with
-	// the service inequality below as the deadline certificate.
-	dedicated := make(map[int]int, len(a.High))
-	for _, h := range a.High {
-		if h.TaskIndex < 0 || h.TaskIndex >= len(sys) {
-			return fmt.Errorf("fedcons: high assignment index %d out of range", h.TaskIndex)
-		}
-		if _, dup := dedicated[h.TaskIndex]; dup {
-			return fmt.Errorf("fedcons: task %d has two dedicated-processor grants", h.TaskIndex)
-		}
-		if !sys[h.TaskIndex].HighDensity() {
-			return fmt.Errorf("fedcons: task %d (δ=%.3f) is low-density but got dedicated processors", h.TaskIndex, sys[h.TaskIndex].Density())
-		}
-		if len(h.Procs) == 0 {
-			return fmt.Errorf("fedcons: task %d granted zero processors", h.TaskIndex)
-		}
-		if h.Template != nil {
-			return fmt.Errorf("fedcons: task %d: a %s-shape grant must not carry a template schedule", h.TaskIndex, a.Policy)
-		}
-		for _, p := range h.Procs {
-			if p < 0 || p >= m {
-				return fmt.Errorf("fedcons: processor %d out of range", p)
-			}
-			if owned[p] != 0 {
-				return fmt.Errorf("fedcons: processor %d claimed twice", p)
-			}
-			owned[p] = 1
-		}
-		dedicated[h.TaskIndex] = len(h.Procs)
-		covered[h.TaskIndex] = 1
-	}
-	if a.Policy == PolicyReservation && len(a.High) > 0 {
-		return fmt.Errorf("fedcons: a reservation-shape allocation grants no dedicated processors, found %d grants", len(a.High))
-	}
-
-	// Reservation servers.
-	budgets := make(map[int][]Time, len(a.Servers))
-	for j, sv := range a.Servers {
-		if sv.TaskIndex < 0 || sv.TaskIndex >= len(sys) {
-			return fmt.Errorf("fedcons: server %d owner index %d out of range", j, sv.TaskIndex)
-		}
-		tk := sys[sv.TaskIndex]
-		if !tk.HighDensity() {
-			return fmt.Errorf("fedcons: task %d (δ=%.3f) is low-density but got a reservation server", sv.TaskIndex, tk.Density())
-		}
-		if w := window(tk); sv.Budget < 1 || sv.Budget > w {
-			return fmt.Errorf("fedcons: server %d budget %d outside [1, window=%d] of task %d", j, sv.Budget, w, sv.TaskIndex)
-		}
-		budgets[sv.TaskIndex] = append(budgets[sv.TaskIndex], sv.Budget)
-		covered[sv.TaskIndex] = 1
-	}
-	if a.Policy == PolicySemi {
-		// Semi-federated shape: every high task has exactly one fractional
-		// server (plus ⌊x⌋ dedicated processors when x > 1).
-		for i := range sys {
-			if covered[i] != 1 {
-				continue
-			}
-			if n := len(budgets[i]); n != 1 {
-				return fmt.Errorf("fedcons: semi-shape task %d has %d servers, want exactly 1", i, n)
-			}
-		}
-	}
-
-	// The service inequality: d·w + ΣE ≥ vol + (r−1)·len per high task.
-	for i := range sys {
-		if covered[i] != 1 {
-			continue
-		}
-		tk := sys[i]
-		d, bs := dedicated[i], budgets[i]
-		r := Time(d + len(bs))
-		supply := Time(d) * window(tk)
-		for _, e := range bs {
-			supply += e
-		}
-		need := tk.Volume() + (r-1)*tk.Len()
-		if supply < need {
-			return fmt.Errorf("fedcons: task %d service inequality violated: %d dedicated + %d servers supply %d < vol %d + (r−1)·len %d",
-				i, d, len(bs), supply, tk.Volume(), need-tk.Volume())
-		}
-	}
-
-	for _, p := range a.SharedProcs {
-		if p < 0 || p >= m {
-			return fmt.Errorf("fedcons: shared processor %d out of range", p)
-		}
-		if owned[p] != 0 {
-			return fmt.Errorf("fedcons: shared processor %d also dedicated", p)
-		}
-		owned[p] = 2
-	}
-
-	for _, i := range a.LowIndices {
-		if i < 0 || i >= len(sys) {
-			return fmt.Errorf("fedcons: low index %d out of range", i)
-		}
-		if covered[i] != 0 {
-			return fmt.Errorf("fedcons: task %d assigned twice", i)
-		}
-		covered[i] = 2
-		if sys[i].HighDensity() {
-			return fmt.Errorf("fedcons: task %d (δ=%.3f) is high-density but was partitioned", i, sys[i].Density())
-		}
-	}
-	for i, c := range covered {
-		if c == 0 {
-			return fmt.Errorf("fedcons: task %d unassigned", i)
-		}
-	}
-
-	// The combined partition: servers first, then the low-density tasks,
-	// EDF-feasible per shared processor.
-	if a.Low == nil {
-		return fmt.Errorf("fedcons: nil partition result")
-	}
-	combined, err := PartitionSystem(sys, a)
-	if err != nil {
-		return err
-	}
-	if base == nil {
-		if err := partition.Verify(combined, len(a.SharedProcs), a.Low); err != nil {
-			return fmt.Errorf("fedcons: %w", err)
-		}
-		return nil
-	}
-	if len(a.Low.Assignment) != len(a.SharedProcs) {
-		return fmt.Errorf("fedcons: partition: result covers %d processors, want %d", len(a.Low.Assignment), len(a.SharedProcs))
-	}
-	seen := make([]bool, len(combined))
-	sameShared := base.Low != nil && len(base.Low.Assignment) == len(a.Low.Assignment) && equalInts(a.SharedProcs, base.SharedProcs)
-	for k := range a.Low.Assignment {
-		for _, pos := range a.Low.Assignment[k] {
-			if pos < 0 || pos >= len(combined) {
-				return fmt.Errorf("fedcons: partition: index %d out of range", pos)
-			}
-			if seen[pos] {
-				return fmt.Errorf("fedcons: partition: task %d assigned twice", pos)
-			}
-			seen[pos] = true
-		}
-		if sameShared && sameSplitProcTasks(sys, a, baseSys, base, k) {
-			continue // identical already-audited workload on this processor
-		}
-		set := make([]task.Sporadic, 0, len(a.Low.Assignment[k]))
-		for _, pos := range a.Low.Assignment[k] {
-			set = append(set, combined[pos].AsSporadic())
-		}
-		if !dbf.ExactFeasible(set) {
-			return fmt.Errorf("fedcons: partition: processor %d not EDF-schedulable: %v", k, set)
-		}
-	}
-	for pos, ok := range seen {
-		if !ok {
-			return fmt.Errorf("fedcons: partition: task %d unassigned", pos)
-		}
-	}
-	return nil
-}
-
-// sameSplitProcTasks reports whether shared processor k carries the identical
-// workload in a and base: server positions must pair with value-equal budgets
-// and pointer-identical owner tasks (server tasks are rebuilt per call, so
-// pointer identity of the servers themselves is meaningless), low positions
-// with pointer-identical tasks, in identical order.
-func sameSplitProcTasks(sys task.System, a *Allocation, baseSys task.System, base *Allocation, k int) bool {
-	ap, bp := a.Low.Assignment[k], base.Low.Assignment[k]
-	if len(ap) != len(bp) {
-		return false
-	}
-	sa, sb := len(a.Servers), len(base.Servers)
-	for j := range ap {
-		pa, pb := ap[j], bp[j]
-		if (pa < sa) != (pb < sb) {
-			return false
-		}
-		if pa < sa {
-			va, vb := a.Servers[pa], base.Servers[pb]
-			if va.Budget != vb.Budget || sys[va.TaskIndex] != baseSys[vb.TaskIndex] {
-				return false
-			}
-		} else if sys[a.LowIndices[pa-sa]] != baseSys[base.LowIndices[pb-sb]] {
-			return false
-		}
-	}
-	return true
 }

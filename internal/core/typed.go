@@ -6,16 +6,14 @@ import (
 
 	"fedsched/internal/listsched"
 	"fedsched/internal/obs"
-	"fedsched/internal/partition"
 	"fedsched/internal/task"
 )
 
 // This file is the core analysis layer of the typed/heterogeneous processor
 // model (after Han et al.'s typed federated scheduling): the typed MINPROCS
 // sizing procedure the "typed" policy (internal/typedfed) runs per dedicated
-// task, and the typed-shape arm of Verify. Platform shape: MTypes[s]
-// processors of type s, numbered type-major — type s owns the global ids
-// [Σ_{t<s} MTypes[t], Σ_{t≤s} MTypes[t]).
+// task. Platform shape: MTypes[s] processors of type s, numbered type-major —
+// type s owns the global ids [Σ_{t<s} MTypes[t], Σ_{t≤s} MTypes[t]).
 
 // FormatMTypes renders per-type budgets in the -m-types flag vocabulary:
 // "a:4,b:2" (type indices 0,1,… spelled a,b,…; indices past 'z' fall back to
@@ -159,160 +157,4 @@ func padTime(v []Time, n int) []Time {
 		v = append(v, 0)
 	}
 	return v
-}
-
-// verifyTyped audits a typed-shape allocation (a.Policy "typed") from
-// scratch: the per-type budgets must tile the platform; dedicated grants
-// must be typed-eligible tasks with a valid typed template fitting the
-// window, every template processor mapped to a same-type global processor;
-// partitioned tasks must be low-density, uniformly typed, and placed on
-// shared processors of their own type; and the partition must be exactly
-// EDF-feasible per processor.
-func verifyTyped(sys task.System, m int, a *Allocation) error {
-	if len(a.Servers) > 0 {
-		return fmt.Errorf("fedcons: a typed allocation must not carry reservation servers, found %d", len(a.Servers))
-	}
-	if a.M != m {
-		return fmt.Errorf("fedcons: allocation for m=%d, want %d", a.M, m)
-	}
-	if len(a.MTypes) == 0 {
-		return fmt.Errorf("fedcons: a typed allocation must declare per-type processor budgets")
-	}
-	total := 0
-	for s, mt := range a.MTypes {
-		if mt < 0 {
-			return fmt.Errorf("fedcons: type %s has negative budget %d", TypeName(s), mt)
-		}
-		total += mt
-	}
-	if total != m {
-		return fmt.Errorf("fedcons: per-type budgets %s sum to %d, platform has %d", FormatMTypes(a.MTypes), total, m)
-	}
-	base := listsched.TypedProcBase(a.MTypes)
-	typeOfProc := func(p int) int {
-		for s := range a.MTypes {
-			if p < base[s+1] {
-				return s
-			}
-		}
-		return -1
-	}
-
-	owned := make([]int, m) // 0 = unused, 1 = dedicated, 2 = shared
-	covered := make([]bool, len(sys))
-
-	for _, h := range a.High {
-		if h.TaskIndex < 0 || h.TaskIndex >= len(sys) {
-			return fmt.Errorf("fedcons: high assignment index %d out of range", h.TaskIndex)
-		}
-		tk := sys[h.TaskIndex]
-		if covered[h.TaskIndex] {
-			return fmt.Errorf("fedcons: task %d assigned twice", h.TaskIndex)
-		}
-		covered[h.TaskIndex] = true
-		if !TypedEligible(tk) {
-			return fmt.Errorf("fedcons: task %d (δ=%.3f, uniformly typed) is partitionable but got dedicated processors", h.TaskIndex, tk.Density())
-		}
-		if len(h.Procs) == 0 {
-			return fmt.Errorf("fedcons: task %d granted zero processors", h.TaskIndex)
-		}
-		if h.Template == nil {
-			return fmt.Errorf("fedcons: task %d has no template schedule", h.TaskIndex)
-		}
-		if h.Template.M != len(h.Procs) {
-			return fmt.Errorf("fedcons: task %d template uses %d processors, granted %d", h.TaskIndex, h.Template.M, len(h.Procs))
-		}
-		if len(h.Template.MTypes) != len(a.MTypes) {
-			return fmt.Errorf("fedcons: task %d template declares %d processor types, platform has %d",
-				h.TaskIndex, len(h.Template.MTypes), len(a.MTypes))
-		}
-		// Template.Validate also re-checks, per job, that its local processor
-		// lies in the job's type block of Template.MTypes.
-		if err := h.Template.Validate(tk.G); err != nil {
-			return fmt.Errorf("fedcons: task %d template invalid: %w", h.TaskIndex, err)
-		}
-		if w := window(tk); h.Template.Makespan > w {
-			return fmt.Errorf("fedcons: task %d template makespan %d exceeds window min(D,T)=%d", h.TaskIndex, h.Template.Makespan, w)
-		}
-		// The local→global processor mapping must preserve types: local
-		// processor p (type-major within Template.MTypes) is global Procs[p].
-		tmplBase := listsched.TypedProcBase(h.Template.MTypes)
-		for p, gp := range h.Procs {
-			if gp < 0 || gp >= m {
-				return fmt.Errorf("fedcons: processor %d out of range", gp)
-			}
-			if owned[gp] != 0 {
-				return fmt.Errorf("fedcons: processor %d claimed twice", gp)
-			}
-			owned[gp] = 1
-			localType := 0
-			for s := range h.Template.MTypes {
-				if p < tmplBase[s+1] {
-					localType = s
-					break
-				}
-			}
-			if gt := typeOfProc(gp); gt != localType {
-				return fmt.Errorf("fedcons: task %d maps its type-%s template processor %d to global processor %d of type %s",
-					h.TaskIndex, TypeName(localType), p, gp, TypeName(gt))
-			}
-		}
-	}
-
-	for _, p := range a.SharedProcs {
-		if p < 0 || p >= m {
-			return fmt.Errorf("fedcons: shared processor %d out of range", p)
-		}
-		if owned[p] != 0 {
-			return fmt.Errorf("fedcons: shared processor %d also dedicated", p)
-		}
-		owned[p] = 2
-	}
-
-	low := make(task.System, 0, len(a.LowIndices))
-	lowType := make([]int, 0, len(a.LowIndices))
-	for _, i := range a.LowIndices {
-		if i < 0 || i >= len(sys) {
-			return fmt.Errorf("fedcons: low index %d out of range", i)
-		}
-		if covered[i] {
-			return fmt.Errorf("fedcons: task %d assigned twice", i)
-		}
-		covered[i] = true
-		if TypedEligible(sys[i]) {
-			return fmt.Errorf("fedcons: task %d (δ=%.3f) requires dedicated processors but was partitioned", i, sys[i].Density())
-		}
-		t, _ := sys[i].G.UniformType()
-		low = append(low, sys[i])
-		lowType = append(lowType, t)
-	}
-	for i, ok := range covered {
-		if !ok {
-			return fmt.Errorf("fedcons: task %d unassigned", i)
-		}
-	}
-
-	if a.Low == nil {
-		return fmt.Errorf("fedcons: nil partition result")
-	}
-	// Type correctness of the partition: a task may only share a processor
-	// of its own type. EDF feasibility and coverage are partition.Verify's.
-	if len(a.Low.Assignment) == len(a.SharedProcs) {
-		for k, procID := range a.SharedProcs {
-			pt := typeOfProc(procID)
-			for _, pos := range a.Low.Assignment[k] {
-				if pos < 0 || pos >= len(low) {
-					continue // partition.Verify reports the range error
-				}
-				if lowType[pos] != pt {
-					return fmt.Errorf("fedcons: task %d requires type-%s processors but shares processor %d of type %s",
-						a.LowIndices[pos], TypeName(lowType[pos]), procID, TypeName(pt))
-				}
-			}
-		}
-	}
-	if err := partition.Verify(low, len(a.SharedProcs), a.Low); err != nil {
-		return fmt.Errorf("fedcons: %w", err)
-	}
-	return nil
 }

@@ -247,7 +247,6 @@ func Verify(sys task.System, m int, res *Result) error {
 	}
 	seen := make([]bool, len(sys))
 	for k := range res.Assignment {
-		set := res.Tasks(sys, k)
 		for _, i := range res.Assignment[k] {
 			if i < 0 || i >= len(sys) {
 				return fmt.Errorf("partition: index %d out of range", i)
@@ -257,6 +256,8 @@ func Verify(sys task.System, m int, res *Result) error {
 			}
 			seen[i] = true
 		}
+		// Only now are the indices known to be in range for Tasks.
+		set := res.Tasks(sys, k)
 		if !dbf.ExactFeasible(set) {
 			return fmt.Errorf("partition: processor %d not EDF-schedulable: %v", k, set)
 		}

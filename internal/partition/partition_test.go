@@ -268,6 +268,13 @@ func TestVerifyCatchesBadResult(t *testing.T) {
 	if err := Verify(sys, 2, bad3); err == nil {
 		t.Error("Verify accepted duplicate task")
 	}
+	// Out-of-range indices must be reported, not panic.
+	one := sys[:1]
+	for _, idx := range []int{1, -1} {
+		if err := Verify(one, 1, &Result{Assignment: [][]int{{idx}}}); err == nil {
+			t.Errorf("Verify accepted out-of-range index %d", idx)
+		}
+	}
 }
 
 func TestLemma2FlavorSpeedup(t *testing.T) {

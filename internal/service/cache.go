@@ -106,12 +106,6 @@ func (c *AnalysisCache) store(h core.Hash, tk *task.DAGTask, res phase1Result) {
 	c.entries[h] = append(c.entries[h], cacheEntry{tk: tk, res: res})
 }
 
-// minprocs returns the platform-independent MINPROCS outcome for tk under
-// opt, computing and memoizing it on first sight. For the LS scan the
-// platform bound passed to core.Minprocs is the DAG width: the scan caps
-// there anyway, and (when len ≤ min(D,T)) it is guaranteed to succeed by
-// μ = width, so the result is the true unbounded μ*. For the analytic rule
-// the closed form is independent of the platform, so any large bound works.
 // hashOf returns core.TaskHash(tk), memoized by task identity.
 func (c *AnalysisCache) hashOf(tk *task.DAGTask) core.Hash {
 	c.mu.Lock()
@@ -125,11 +119,6 @@ func (c *AnalysisCache) hashOf(tk *task.DAGTask) core.Hash {
 	c.hashes[tk] = h
 	c.mu.Unlock()
 	return h
-}
-
-func (c *AnalysisCache) minprocs(tk *task.DAGTask, opt core.Options) phase1Result {
-	res, _ := c.minprocsTraced(tk, opt, nil)
-	return res
 }
 
 // prewarmed is one task's Phase-1 outcome as computed by prewarmPhase1,
@@ -213,8 +202,14 @@ func runPool(workers, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// minprocsTraced is minprocs with an optional decision-trace span (recorded
-// only on a miss, where the real scan runs) and a hit/miss report.
+// minprocsTraced returns the platform-independent MINPROCS outcome for tk
+// under opt, computing and memoizing it on first sight, and reports whether
+// the memo already held it. For the LS scan the platform bound passed to
+// core.Minprocs is the DAG width: the scan caps there anyway, and (when
+// len ≤ min(D,T)) it is guaranteed to succeed by μ = width, so the result is
+// the true unbounded μ*. For the analytic rule the closed form is
+// independent of the platform, so any large bound works. The optional
+// decision-trace span is recorded only on a miss, where the real scan runs.
 func (c *AnalysisCache) minprocsTraced(tk *task.DAGTask, opt core.Options, sp *obs.Span) (phase1Result, bool) {
 	h := c.hashOf(tk)
 	if res, ok := c.lookup(h, tk); ok {
