@@ -105,10 +105,13 @@ policy-race:
 # the typed hash sensitivity pins, the typed differential oracle (fast vs
 # reference engine with per-slice type audits), the 20-seed CLI differential
 # pinning single-type -policy=typed byte-identical to strict -policy=fedcons,
-# and the E23 type-mix certification at quick scale.
+# the E23 type-mix certification at quick scale, the core typed warm-path
+# differential (per-type LowState banks vs the typed batch analysis), and the
+# typed twin-server walks (warm path vs full repartition, byte for byte).
 typed-race:
 	$(GO) test -race -run 'TestRunTyped|TestTypedProcBase|TestValidateTyped' ./internal/listsched/
-	$(GO) test -race -run 'TestMinprocsTyped|TestTaskHashTypeSensitivity' ./internal/core/
+	$(GO) test -race -run 'TestMinprocsTyped|TestTaskHashTypeSensitivity|TestAdmitRemoveLowMatchesScheduleTyped' ./internal/core/
+	$(GO) test -race -run 'TestWarmPathByteIdenticalToFullRepartition|TestServiceStateRandomWalk|TestWarmPathActuallyTaken/typed' ./internal/service/
 	$(GO) test -race -run 'TestOracleTyped' ./internal/sim/
 	$(GO) test -race -run 'TestTyped' ./cmd/fedsched/ ./cmd/fedschedd/ ./cmd/analyze/
 	$(GO) test -race -run 'TestE23' ./internal/exp/

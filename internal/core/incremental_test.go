@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"fedsched/internal/dag"
 	"fedsched/internal/partition"
 	"fedsched/internal/task"
 )
@@ -113,6 +115,196 @@ func TestAdmitRemoveLowMatchesSchedule(t *testing.T) {
 			})
 		}
 	}
+}
+
+// typedLowTask is a single-vertex task of processor type ty.
+func typedLowTask(name string, ty int, c, d, t Time) *task.DAGTask {
+	b := dag.NewBuilder(1)
+	b.AddTypedVertex("", c, ty)
+	return task.MustNew(name, b.MustBuild(), d, t)
+}
+
+// randTypedLowTask is randIncLowTask on a random one of two processor types.
+func randTypedLowTask(r *rand.Rand, name string) *task.DAGTask {
+	c := Time(1 + r.Intn(6))
+	d := c + 1 + Time(r.Intn(20))
+	return typedLowTask(name, r.Intn(2), c, d, d+Time(r.Intn(20)))
+}
+
+// requireSameFailure pins an incremental Phase-2 rejection to the batch one,
+// field by field and in its text.
+func requireSameFailure(t *testing.T, label string, got, want error) {
+	t.Helper()
+	var g, w *FailureError
+	if !errors.As(got, &g) || !errors.As(want, &w) {
+		t.Fatalf("%s: incremental err %v, batch err %v: want two *FailureError", label, got, want)
+	}
+	if g.Phase != w.Phase || g.TaskIndex != w.TaskIndex || g.TaskName != w.TaskName || g.Remaining != w.Remaining ||
+		got.Error() != want.Error() {
+		t.Fatalf("%s: failures differ:\nincremental: %+v %v\nbatch:       %+v %v", label, g, got, w, want)
+	}
+}
+
+// typedWalk is one typed differential run: the installed system and
+// allocation, and the LowState mirroring them.
+type typedWalk struct {
+	m     int
+	opt   Options
+	sys   task.System
+	alloc *Allocation
+	ls    *LowState
+}
+
+// newTypedWalk schedules the base system sys with the typed policy on the
+// platform mtypes and builds its LowState. ok is false when the base is
+// unschedulable.
+func newTypedWalk(t *testing.T, sys task.System, mtypes []int, opt Options) (*typedWalk, bool) {
+	t.Helper()
+	opt.Policy, opt.MTypes = PolicyTyped, mtypes
+	w := &typedWalk{m: mtypes[0] + mtypes[1], opt: opt, sys: sys}
+	var err error
+	if w.alloc, err = Schedule(sys, w.m, opt); err != nil {
+		return nil, false
+	}
+	if w.alloc.Policy != PolicyTyped {
+		t.Fatalf("base allocation has shape %q, want typed", w.alloc.Policy)
+	}
+	if w.ls, err = NewLowState(sys, w.alloc, opt.Partition); err != nil {
+		t.Fatalf("NewLowState: %v", err)
+	}
+	return w, true
+}
+
+// step admits tk (or, when tk is nil, removes the task at input index
+// sysIdx) through the LowState and through the typed Schedule of the mutated
+// system, requires both to agree, audits and installs a success, and
+// returns the mutation's error.
+func (w *typedWalk) step(t *testing.T, label string, tk *task.DAGTask, sysIdx int) error {
+	t.Helper()
+	var trial task.System
+	var got *Allocation
+	var gotErr error
+	if tk != nil {
+		trial = append(w.sys.Clone(), tk)
+		got, gotErr = w.ls.Admit(w.alloc, tk)
+	} else {
+		trial = append(append(task.System{}, w.sys[:sysIdx]...), w.sys[sysIdx+1:]...)
+		got, gotErr = w.ls.Remove(w.alloc, sysIdx)
+	}
+	want, wantErr := Schedule(trial, w.m, w.opt)
+	if gotErr != nil || wantErr != nil {
+		requireSameFailure(t, label, gotErr, wantErr)
+		return gotErr
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: allocations differ\nincremental: %+v\nbatch:       %+v", label, got, want)
+	}
+	if err := VerifyDelta(trial, w.m, got, w.sys, w.alloc); err != nil {
+		t.Fatalf("%s: delta audit failed: %v", label, err)
+	}
+	if err := Verify(trial, w.m, got); err != nil {
+		t.Fatalf("%s: full audit failed: %v", label, err)
+	}
+	w.sys, w.alloc = trial, got
+	return nil
+}
+
+// mixedHigh is a mixed-type high-density task: two type-a and two type-b
+// jobs of WCET 4 in a window of 5, which takes two processors of each type.
+func mixedHigh(name string) *task.DAGTask {
+	b := dag.NewBuilder(4)
+	for v := 0; v < 4; v++ {
+		b.AddTypedVertex("", 4, v/2)
+	}
+	return task.MustNew(name, b.MustBuild(), 5, 6)
+}
+
+// TestAdmitRemoveLowMatchesScheduleTyped is the typed arm of the core-level
+// differential: on a two-type platform, every LowState Admit/Remove of a
+// uniformly-typed low-density task must return exactly what the typed
+// policy's Schedule of the mutated system returns — the allocation, or the
+// *FailureError field by field — and every successful delta must pass
+// VerifyDelta and Verify. The base holds a mixed-type high-density task;
+// some seeds leave type b no leftover processors, so every type-b admission
+// fails on an empty bank. A scripted walk adds a removal that fails. (The
+// typed policy is registered by the external test package's import of
+// typedfed.)
+func TestAdmitRemoveLowMatchesScheduleTyped(t *testing.T) {
+	optsets := []Options{
+		{},
+		{Partition: partition.Options{Heuristic: partition.BestFit, Test: partition.ExactEDF}},
+	}
+	var rejected [2]int // failed admissions per bank
+	for seed := int64(0); seed < 20; seed++ {
+		for oi, opt := range optsets {
+			t.Run(fmt.Sprintf("seed=%d/opt=%d", seed, oi), func(t *testing.T) {
+				r := rand.New(rand.NewSource(seed))
+				mtypes := []int{3 + r.Intn(4), 2 + r.Intn(3)}
+				sys := task.System{mixedHigh("h0")}
+				for i := 0; i < 3; i++ {
+					tk := randTypedLowTask(r, fmt.Sprintf("base%d", i))
+					if mtypes[1] == 2 { // no type-b processor left over
+						tk = typedLowTask(tk.Name, 0, tk.Volume(), tk.D, tk.T)
+					}
+					sys = append(sys, tk)
+				}
+				w, ok := newTypedWalk(t, sys, mtypes, opt)
+				if !ok {
+					t.Skip("base system unschedulable")
+				}
+				accepted := 0
+				for step := 0; step < 40; step++ {
+					if len(w.alloc.LowIndices) == 0 || r.Float64() < 0.6 {
+						tk := randTypedLowTask(r, fmt.Sprintf("t%d", step))
+						if w.step(t, fmt.Sprintf("step %d admit %s", step, tk), tk, -1) != nil {
+							ty, _ := tk.G.UniformType()
+							rejected[ty]++
+							continue
+						}
+					} else {
+						sysIdx := w.alloc.LowIndices[r.Intn(len(w.alloc.LowIndices))]
+						if w.step(t, fmt.Sprintf("step %d remove(%d)", step, sysIdx), nil, sysIdx) != nil {
+							continue
+						}
+					}
+					accepted++
+				}
+				if accepted == 0 {
+					t.Error("no mutation accepted")
+				}
+			})
+		}
+	}
+	if rejected[0] == 0 || rejected[1] == 0 {
+		t.Errorf("rejected admissions per bank %v: want failures in both banks", rejected)
+	}
+
+	// Deadline-ordered first-fit is not monotone under removal: these five
+	// type-b tasks fit type b's two leftover processors, but without x0 the
+	// packing shifts and x4 no longer fits.
+	t.Run("removal-failure", func(t *testing.T) {
+		w, ok := newTypedWalk(t, task.System{mixedHigh("h0"), typedLowTask("a0", 0, 2, 8, 10)}, []int{3, 4}, Options{})
+		if !ok {
+			t.Fatal("base system unschedulable")
+		}
+		for i, p := range [][3]Time{{1, 4, 15}, {2, 4, 11}, {6, 11, 21}, {5, 9, 18}, {8, 15, 22}} {
+			tk := typedLowTask(fmt.Sprintf("x%d", i), 1, p[0], p[1], p[2])
+			if err := w.step(t, "admit "+tk.Name, tk, -1); err != nil {
+				t.Fatalf("admit %s: %v", tk.Name, err)
+			}
+		}
+		if err := w.step(t, "remove x0", nil, 2); err == nil {
+			t.Fatal("removing x0 succeeded; want the packing anomaly")
+		}
+		// The failed removal left the state untouched: a-bank and b-bank
+		// mutations still match the batch analysis.
+		if err := w.step(t, "remove a0", nil, 1); err != nil {
+			t.Fatalf("remove a0: %v", err)
+		}
+		if err := w.step(t, "remove x4", nil, 5); err != nil {
+			t.Fatalf("remove x4: %v", err)
+		}
+	})
 }
 
 // TestRemoveLowRejectsNonLowIndex: asking to remove a high-density (or

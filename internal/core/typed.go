@@ -39,19 +39,6 @@ func TypeName(s int) string {
 	return fmt.Sprintf("t%d", s)
 }
 
-// TypedEligible reports whether the typed policy must grant tk dedicated
-// processors: high-density tasks (as in strict FEDCONS) and any task whose
-// vertices span more than one processor type — a mixed-type task cannot be
-// collapsed to a sporadic task on a single shared processor, so Phase 2
-// cannot place it regardless of density.
-func TypedEligible(tk *task.DAGTask) bool {
-	if tk.HighDensity() {
-		return true
-	}
-	_, uniform := tk.G.UniformType()
-	return !uniform
-}
-
 // MinprocsTyped is the typed analogue of procedure MINPROCS: the smallest
 // (by the greedy residual order below) per-type budget vector μ, with
 // μ[s] ≤ avail[s], for which typed list scheduling of tk's dag-job finishes

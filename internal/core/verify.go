@@ -83,9 +83,41 @@ type shape struct {
 	oneServer bool
 	// noDedicated: no dedicated-processor grants.
 	noDedicated bool
-	// typed: per-type budgets are required, and TypedEligible rather than
-	// HighDensity decides which tasks need dedicated service.
+	// typed: per-type budgets are required, and mixed-type tasks need
+	// dedicated service at any density (see dedicated).
 	typed bool
+}
+
+// dedicated reports whether tk needs dedicated service under this shape:
+// every high-density task (as in strict FEDCONS), and under the typed shape
+// also any task whose vertices span more than one processor type — a
+// mixed-type task cannot be collapsed to a sporadic task on a single shared
+// processor, so Phase 2 cannot place it regardless of density.
+func (s shape) dedicated(tk *task.DAGTask) bool {
+	if tk.HighDensity() {
+		return true
+	}
+	if !s.typed {
+		return false
+	}
+	_, uniform := tk.G.UniformType()
+	return !uniform
+}
+
+// NeedsDedicated reports whether tk needs dedicated service (a grant or
+// reservation servers) in an allocation tagged policy, rather than a place
+// in the Phase-2 partition. An unknown tag answers as the strict shape.
+func NeedsDedicated(policy string, tk *task.DAGTask) bool {
+	return shapes[policy].dedicated(tk)
+}
+
+// RetriesStrict reports whether the policy behind allocations tagged policy
+// falls back to strict FEDCONS when its own attempt fails, so that its
+// Phase-2 failure is not final: true for the split shapes, false for strict
+// and typed (a typed-shape allocation exists only on a platform with more
+// than one populated type, where typedfed has no fallback).
+func RetriesStrict(policy string) bool {
+	return shapes[policy].split
 }
 
 // shapes maps every allocation tag to its shape; any other tag fails the
@@ -154,7 +186,7 @@ func audit(sys task.System, m int, a *Allocation, baseSys task.System, base *All
 			return fmt.Errorf("fedcons: task %d assigned twice", h.TaskIndex)
 		}
 		covered[h.TaskIndex] = true
-		if !tk.HighDensity() && !(s.typed && TypedEligible(tk)) {
+		if !s.dedicated(tk) {
 			return fmt.Errorf("fedcons: task %d (δ=%.3f) is low-density but got dedicated processors", h.TaskIndex, tk.Density())
 		}
 		if len(h.Procs) == 0 {
@@ -268,7 +300,7 @@ func audit(sys task.System, m int, a *Allocation, baseSys task.System, base *All
 			return fmt.Errorf("fedcons: task %d assigned twice", i)
 		}
 		covered[i] = true
-		if sys[i].HighDensity() || s.typed && TypedEligible(sys[i]) {
+		if s.dedicated(sys[i]) {
 			return fmt.Errorf("fedcons: task %d (δ=%.3f) requires dedicated processors but was partitioned", i, sys[i].Density())
 		}
 	}

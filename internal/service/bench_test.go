@@ -197,9 +197,9 @@ func BenchmarkAdmitBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkSchedulePolicy compares the admission cost of the three -policy
-// values on the same workload, cold and warm (recorded in
-// results/timing_policy.json by scripts/policybench):
+// BenchmarkSchedulePolicy compares the admission cost of the -policy values
+// on the same workload, cold and warm (recorded in results/timing_policy.json
+// by scripts/policybench):
 //
 //   - cold/<policy>: one complete batch analysis with an empty memo. The
 //     split policies pay their fractional-sizing pass plus the combined
@@ -212,30 +212,66 @@ func BenchmarkAdmitBatch(b *testing.B) {
 //     servers+low system — many more partitioned tasks on this workload —
 //     and a delta the state cannot absorb declines to the full analysis, so
 //     the warm column quantifies what the fractional shapes pay online.
+//
+// The typed arms run typedBenchSystem on its two-type platform (untyped
+// input would degenerate to strict FEDCONS); the probe is type a, so its
+// warm pair touches type a's bank only.
 func BenchmarkSchedulePolicy(b *testing.B) {
 	sys, m := benchSystem(b)
 	for _, pol := range []string{"", core.PolicySemi, core.PolicyReservation} {
-		pol := pol
-		b.Run("cold/"+policyLabel(pol), func(b *testing.B) {
-			opt := core.Options{Policy: pol}
-			for i := 0; i < b.N; i++ {
-				if _, err := NewAnalysisCache().Schedule(sys, m, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("warm/"+policyLabel(pol), func(b *testing.B) {
-			svc := seededServer(b, Config{M: m, QueueBound: 4, Options: core.Options{Policy: pol}}, sys)
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if status, body := svc.Admit(ctx, probe()); status != http.StatusOK {
-					b.Fatalf("warm admit: %d %s", status, body)
-				}
-				if status, _ := svc.Remove(ctx, "probe"); status != http.StatusOK {
-					b.Fatal("warm remove failed")
-				}
-			}
-		})
+		benchPolicy(b, policyLabel(pol), sys, m, core.Options{Policy: pol})
 	}
+	tsys, mtypes := typedBenchSystem(b)
+	benchPolicy(b, core.PolicyTyped, tsys, mtypes[0]+mtypes[1], core.Options{Policy: core.PolicyTyped, MTypes: mtypes})
+}
+
+// benchPolicy runs the cold/<label> and warm/<label> arms of
+// BenchmarkSchedulePolicy for sys on m processors under opt.
+func benchPolicy(b *testing.B, label string, sys task.System, m int, opt core.Options) {
+	b.Run("cold/"+label, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := NewAnalysisCache().Schedule(sys, m, opt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("warm/"+label, func(b *testing.B) {
+		svc := seededServer(b, Config{M: m, QueueBound: 4, Options: opt}, sys)
+		ctx := context.Background()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if status, body := svc.Admit(ctx, probe()); status != http.StatusOK {
+				b.Fatalf("warm admit: %d %s", status, body)
+			}
+			if status, _ := svc.Remove(ctx, "probe"); status != http.StatusOK {
+				b.Fatal("warm remove failed")
+			}
+		}
+	})
+}
+
+// typedBenchSystem is benchSystem's workload with each vertex type b with
+// probability 0.3, so nearly every task needs dedicated processors of both
+// types, on the smallest two-type platform (two thirds type a) that admits
+// it with room for the probe.
+func typedBenchSystem(b *testing.B) (task.System, []int) {
+	b.Helper()
+	r := rand.New(rand.NewSource(42))
+	p := gen.DefaultParams(50, 50)
+	p.MinVerts, p.MaxVerts = 150, 250
+	p.BetaMin, p.BetaMax = 0.1, 0.3
+	p.TypeProb = 0.3
+	sys, err := gen.System(r, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for m := 12; m <= 6144; m *= 2 {
+		mtypes := []int{2 * m / 3, m - 2*m/3}
+		opt := core.Options{Policy: core.PolicyTyped, MTypes: mtypes}
+		if _, err := core.Schedule(append(sys.Clone(), probe()), m, opt); err == nil {
+			return sys, mtypes
+		}
+	}
+	b.Fatal("typed benchmark system unschedulable at every platform size")
+	return nil, nil
 }

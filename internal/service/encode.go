@@ -150,13 +150,17 @@ func (v Verdict) Encode() ([]byte, error) {
 // a non-finite float) — the caller then takes the two-pass path, so the
 // response bytes never depend on which encoder ran.
 func (v Verdict) appendFast() ([]byte, bool) {
-	if len(v.Trace) != 0 || !plainJSONString(v.Reason) ||
-		!finite(v.USum) || !finite(v.DensitySum) ||
-		v.Policy != "" || len(v.MTypes) != 0 || len(v.Servers) != 0 {
+	if len(v.Trace) != 0 || !plainJSONString(v.Reason) || !plainJSONString(v.Policy) ||
+		!finite(v.USum) || !finite(v.DensitySum) {
 		return nil, false
 	}
 	for i := range v.High {
 		if !plainJSONString(v.High[i].Task) || !finite(v.High[i].Density) {
+			return nil, false
+		}
+	}
+	for i := range v.Servers {
+		if !plainJSONString(v.Servers[i].Task) {
 			return nil, false
 		}
 	}
@@ -182,6 +186,15 @@ func (v Verdict) appendFast() ([]byte, bool) {
 	b = strconv.AppendInt(b, int64(v.Dedicated), 10)
 	b = append(b, ",\n  \"shared\": "...)
 	b = strconv.AppendInt(b, int64(v.Shared), 10)
+	if v.Policy != "" {
+		b = append(b, ",\n  \"policy\": \""...)
+		b = append(b, v.Policy...)
+		b = append(b, '"')
+	}
+	if len(v.MTypes) > 0 {
+		b = append(b, ",\n  \"mtypes\": "...)
+		b = appendIntArray(b, v.MTypes, 1)
+	}
 	if len(v.High) > 0 {
 		b = append(b, ",\n  \"high\": ["...)
 		for i, h := range v.High {
@@ -193,11 +206,29 @@ func (v Verdict) appendFast() ([]byte, bool) {
 			b = append(b, "\",\n      \"density\": "...)
 			b = appendJSONFloat(b, h.Density)
 			b = append(b, ",\n      \"procs\": "...)
-			b = appendIntArray(b, h.Procs)
+			b = appendIntArray(b, h.Procs, 3)
 			b = append(b, ",\n      \"makespan\": "...)
 			b = strconv.AppendInt(b, int64(h.Makespan), 10)
 			b = append(b, ",\n      \"deadline\": "...)
 			b = strconv.AppendInt(b, int64(h.Deadline), 10)
+			b = append(b, "\n    }"...)
+		}
+		b = append(b, "\n  ]"...)
+	}
+	if len(v.Servers) > 0 {
+		b = append(b, ",\n  \"servers\": ["...)
+		for i, sv := range v.Servers {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, "\n    {\n      \"task\": \""...)
+			b = append(b, sv.Task...)
+			b = append(b, "\",\n      \"budget\": "...)
+			b = strconv.AppendInt(b, int64(sv.Budget), 10)
+			b = append(b, ",\n      \"deadline\": "...)
+			b = strconv.AppendInt(b, int64(sv.Deadline), 10)
+			b = append(b, ",\n      \"period\": "...)
+			b = strconv.AppendInt(b, int64(sv.Period), 10)
 			b = append(b, "\n    }"...)
 		}
 		b = append(b, "\n  ]"...)
@@ -226,7 +257,10 @@ func (v Verdict) appendFast() ([]byte, bool) {
 }
 
 func (v Verdict) sizeHint() int {
-	n := 192 + len(v.Reason)
+	n := 192 + len(v.Reason) + len(v.Policy) + 16 + 10*len(v.MTypes)
+	for i := range v.Servers {
+		n += 128 + len(v.Servers[i].Task)
+	}
 	for i := range v.High {
 		n += 144 + len(v.High[i].Task) + 10*len(v.High[i].Procs)
 	}
@@ -273,9 +307,14 @@ func appendJSONFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// appendIntArray writes xs as an indented array at nesting depth 3 (the
-// "procs" position): nil is null, empty is [], elements sit one per line.
-func appendIntArray(b []byte, xs []int) []byte {
+// jsonIndent is MarshalIndent's line prefix ("\n" plus two spaces per level) up
+// to the deepest level a verdict reaches.
+const jsonIndent = "\n        "
+
+// appendIntArray writes xs as an indented array at nesting depth (3 for
+// "procs", 1 for "mtypes"): nil is null, empty is [], elements sit one per
+// line.
+func appendIntArray(b []byte, xs []int, depth int) []byte {
 	if xs == nil {
 		return append(b, "null"...)
 	}
@@ -287,10 +326,11 @@ func appendIntArray(b []byte, xs []int) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, "\n        "...)
+		b = append(b, jsonIndent[:3+2*depth]...)
 		b = strconv.AppendInt(b, int64(x), 10)
 	}
-	return append(b, "\n      ]"...)
+	b = append(b, jsonIndent[:1+2*depth]...)
+	return append(b, ']')
 }
 
 // appendStringArray is appendIntArray for the "tasks" position; every element

@@ -66,13 +66,33 @@ func randVerdict(r *rand.Rand) Verdict {
 	if r.Intn(3) == 0 {
 		v.Reason = "system unschedulable: insufficient capacity"
 	}
+	// The shape fields, drawn last so every draw above is unchanged.
+	v.Policy = []string{"", "semi", "reservation", "typed"}[r.Intn(4)]
+	switch r.Intn(3) {
+	case 0: // nil mtypes is omitted
+	case 1:
+		v.MTypes = []int{} // so is an empty one
+	default:
+		for j := 0; j < 1+r.Intn(4); j++ {
+			v.MTypes = append(v.MTypes, r.Intn(4096))
+		}
+	}
+	for i := 0; i < r.Intn(4); i++ {
+		v.Servers = append(v.Servers, ServerGrant{
+			Task:     names[r.Intn(len(names))] + "#srv0",
+			Budget:   task.Time(r.Int63n(1 << 40)),
+			Deadline: task.Time(r.Int63n(1 << 40)),
+			Period:   task.Time(r.Int63n(1 << 40)),
+		})
+	}
 	return v
 }
 
 // TestEncodeFastMatchesStdlib pins the single-pass verdict encoder against
 // encoding/json on randomized verdicts covering every field shape the daemon
 // produces: nil/empty/populated arrays, both float notations, omitted and
-// present reason.
+// present reason, and the split and typed shapes' policy tag, per-type
+// budgets and reservation servers.
 func TestEncodeFastMatchesStdlib(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	taken := 0
@@ -107,6 +127,8 @@ func TestEncodeFastFallsBack(t *testing.T) {
 		"inf densitySum":  {DensitySum: math.Inf(-1)},
 		"backslash":       {Reason: `path\to\nowhere`},
 		"high ascii name": {SharedProcs: []SharedProc{{Tasks: []string{string([]byte{0x80})}}}},
+		"escaped policy":  {Policy: `<typed>`},
+		"escaped server":  {Servers: []ServerGrant{{Task: `h"#srv0`}}},
 	}
 	for name, v := range cases {
 		if _, ok := v.appendFast(); ok {

@@ -15,7 +15,6 @@ import (
 
 	"fedsched/internal/core"
 	"fedsched/internal/obs"
-	"fedsched/internal/partition"
 	"fedsched/internal/store"
 	"fedsched/internal/task"
 )
@@ -54,12 +53,13 @@ type Shard struct {
 	// never re-hash the installed system.
 	sysHashes []string
 
-	// pstate is the live incremental Phase-2 partition mirroring alloc's
-	// low-density placement; nil when alloc is nil (or after a rebuild
-	// failure, which just disables the warm path). Writer-loop-only, like
-	// sysHashes: mutated by the warm path and re-derived from the installed
-	// allocation after every full-analysis install (see syncPartitionState).
-	pstate *partition.State
+	// pstate is the live incremental Phase-2 state (one partition.State per
+	// bank) mirroring alloc's shared-processor placement; nil when alloc is
+	// nil (or after a rebuild failure, which just disables the warm path).
+	// Writer-loop-only, like sysHashes: mutated by the warm path and
+	// re-derived from the installed allocation after every full-analysis
+	// install (see syncPartitionState).
+	pstate *core.LowState
 
 	reqs    chan *request
 	closing chan struct{}

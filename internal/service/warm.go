@@ -6,54 +6,68 @@ import (
 
 	"fedsched/internal/core"
 	"fedsched/internal/obs"
-	"fedsched/internal/partition"
 	"fedsched/internal/task"
 )
 
-// This file is the shard's warm admission path: untraced single low-density
-// mutations are served from the live partition.State via core.AdmitLow /
-// core.RemoveLow instead of re-running the full FEDCONS analysis, then
-// audited with core.VerifyDelta before the identical persist/install/verdict
-// sequence as the full path. Everything that could diverge from a
-// from-scratch analysis falls back to it:
+// This file is the shard's warm admission path: untraced single mutations of
+// a task the installed shape places on a shared processor are served from the
+// live core.LowState via its Admit / Remove instead of re-running the full
+// analysis, then audited with core.VerifyDelta before the identical
+// persist/install/verdict sequence as the full path.
+//
+// The state holds one incremental partition.State per bank of shared
+// processors, so every shape rides the same code:
+//
+//   - strict FEDCONS and the split shapes (semi, reservation) have one bank
+//     over all shared processors, partitioning the servers and the
+//     low-density tasks;
+//   - the typed shape has one bank per processor type, over that type's
+//     leftover processors: a uniformly type-t low-density task is admitted
+//     to, or removed from, bank t alone, exactly as typedfed's per-type
+//     Phase 2 would re-partition it.
+//
+// Everything that could diverge from a from-scratch analysis falls back to
+// it:
 //
 //   - traced requests (rec != nil): the decision trace must come from the
 //     batch code that produces -trace/-explain bytes;
-//   - high-density tasks: they change Phase-1 sizing, processor numbering
-//     and the shared-processor set, so Phase 2 must re-partition anyway;
+//   - tasks that need dedicated service under the installed shape
+//     (core.NeedsDedicated: high-density tasks, and mixed-type tasks under
+//     the typed shape): they change Phase-1 sizing, processor numbering and
+//     the shared-processor set, so Phase 2 must re-partition anyway;
+//   - a task of a processor type the platform does not declare (the full
+//     analysis owns that error);
 //   - the first admission into an empty shard (no base allocation to extend)
 //     and batch admissions (one WAL record, atomic semantics);
-//   - a missing or inconsistent partition.State (never expected; the state
-//     is re-derived from the installed allocation after every full-path
-//     install and on recovery);
+//   - a strict-shape base under a split policy (the split attempt had failed
+//     and strict FEDCONS was installed instead), and a warm Phase-2 failure
+//     under a split shape: that policy retries strict FEDCONS, which may
+//     still accept. Strict and typed warm failures are final;
+//   - a missing or inconsistent state (never expected; the state is
+//     re-derived from the installed allocation after every full-path install
+//     and on recovery);
 //   - Config.FullRepartition, the operator escape hatch — and the oracle
-//     configuration the warm-path differential tests compare bytes against;
-//   - the typed policy: its Phase-2 result is per-type partitions stitched
-//     into one slice, but the flat partition.State is type-blind — its
-//     first-fit would happily place a task on a wrong-type processor, which
-//     the typed verifier then rejects. Typed mutations always re-analyze.
+//     configuration the warm-path differential tests compare bytes against.
 
-// fastAdmit serves one low-density admission from the live partition state.
-// ok is false when the warm path does not apply and the caller must run the
-// full analysis.
-func (s *Shard) fastAdmit(tk *task.DAGTask, rec *obs.Recorder, meta mutMeta) (opResult, bool) {
-	if s.cfg.FullRepartition || rec != nil || s.alloc == nil || tk.HighDensity() ||
-		s.cfg.Options.Policy == core.PolicyTyped || !s.pstateConsistent() {
-		return opResult{}, false
-	}
+// warmFor reports whether the warm path may serve a mutation of tk.
+func (s *Shard) warmFor(tk *task.DAGTask) bool {
 	// The warm path extends the installed shape in place, so it only applies
-	// when that shape is the one the configured policy would produce; a
-	// strict-shape base under a split policy (the fallback engaged) must go
-	// through the full analysis, which retries the split first.
-	if s.alloc.Policy != s.cfg.Options.Policy {
+	// when that shape is the one the configured policy would produce.
+	return !s.cfg.FullRepartition && s.alloc != nil && s.alloc.Policy == s.cfg.Options.Policy &&
+		s.pstateConsistent() && !core.NeedsDedicated(s.alloc.Policy, tk) && s.pstate.Covers(tk)
+}
+
+// fastAdmit serves one shared-processor admission from the live state. ok is
+// false when the warm path does not apply and the caller must run the full
+// analysis.
+func (s *Shard) fastAdmit(tk *task.DAGTask, rec *obs.Recorder, meta mutMeta) (opResult, bool) {
+	if rec != nil || !s.warmFor(tk) {
 		return opResult{}, false
 	}
 	trial := append(s.sys.Clone(), tk)
-	alloc, err := core.AdmitLow(s.alloc, s.pstate, tk)
+	alloc, err := s.pstate.Admit(s.alloc, tk)
 	if err != nil {
-		if s.alloc.Policy != "" {
-			// A split-shape incremental failure is not final: the batch path
-			// falls back to strict FEDCONS, which may still accept.
+		if core.RetriesStrict(s.alloc.Policy) {
 			return opResult{}, false
 		}
 		s.met.rejects.Add(1)
@@ -81,22 +95,16 @@ func (s *Shard) fastAdmit(tk *task.DAGTask, rec *obs.Recorder, meta mutMeta) (op
 	return verdictResult(http.StatusOK, NewVerdict(trial, s.cfg.M, alloc, nil)), true
 }
 
-// fastRemove serves one low-density removal from the live partition state.
-// idx is the task's position in s.sys; trial/hashes are the spliced system
-// and hash list the caller already built (shared with the full path).
+// fastRemove serves one shared-processor removal from the live state. idx is
+// the task's position in s.sys; trial/hashes are the spliced system and hash
+// list the caller already built (shared with the full path).
 func (s *Shard) fastRemove(name string, idx int, trial task.System, hashes []string, meta mutMeta) (opResult, bool) {
-	if s.cfg.FullRepartition || s.alloc == nil || s.sys[idx].HighDensity() ||
-		s.cfg.Options.Policy == core.PolicyTyped || !s.pstateConsistent() {
+	if !s.warmFor(s.sys[idx]) {
 		return opResult{}, false
 	}
-	if s.alloc.Policy != s.cfg.Options.Policy {
-		return opResult{}, false // see fastAdmit: shape must match the policy
-	}
-	alloc, err := core.RemoveLow(s.alloc, s.pstate, idx)
+	alloc, err := s.pstate.Remove(s.alloc, idx)
 	if err != nil {
-		if s.alloc.Policy != "" {
-			// The full analysis re-partitions from scratch and may still
-			// accept the shrunk system (or fall back to strict FEDCONS).
+		if core.RetriesStrict(s.alloc.Policy) {
 			return opResult{}, false
 		}
 		// Same non-monotonicity surface as the full path: keep the verified
@@ -119,11 +127,12 @@ func (s *Shard) fastRemove(name string, idx int, trial task.System, hashes []str
 	return verdictResult(http.StatusOK, NewVerdict(trial, s.cfg.M, alloc, nil)), true
 }
 
-// pstateConsistent reports whether the live partition state plausibly mirrors
-// the installed allocation. The two are maintained in lockstep, so a mismatch
-// means a bug — the warm path declines and the full analysis (which ends in
-// syncPartitionState) repairs it, at full-repartition cost but with correct
-// output.
+// pstateConsistent reports whether the live state plausibly mirrors the
+// installed allocation: its banks together partition every server and
+// low-density task over every shared processor. The two are maintained in
+// lockstep, so a mismatch means a bug — the warm path declines and the full
+// analysis (which ends in syncPartitionState) repairs it, at
+// full-repartition cost but with correct output.
 func (s *Shard) pstateConsistent() bool {
 	return s.pstate != nil &&
 		s.pstate.Len() == len(s.alloc.Servers)+len(s.alloc.LowIndices) &&
@@ -140,14 +149,7 @@ func (s *Shard) syncPartitionState() {
 		s.pstate = nil
 		return
 	}
-	// The Phase-2 system is shape-dependent: reservation servers (if any)
-	// first, then the low-density tasks — exactly what the partitioner saw.
-	combined, err := core.PartitionSystem(s.sys, s.alloc)
-	if err != nil {
-		s.pstate = nil
-		return
-	}
-	st, err := partition.Rebuild(combined, len(s.alloc.SharedProcs), s.alloc.Low, s.cfg.Options.Partition)
+	st, err := core.NewLowState(s.sys, s.alloc, s.cfg.Options.Partition)
 	if err != nil {
 		s.pstate = nil
 		return

@@ -114,15 +114,16 @@ func schedule(sys task.System, m int, mtypes []int, opt core.Options) (*core.All
 	phase1 := root.Child("phase1")
 	dedicated := 0
 	for i, tk := range sys {
+		eligible := core.NeedsDedicated(core.PolicyTyped, tk)
 		var tsp *obs.Span
 		if phase1 != nil {
 			vol, l, w := tk.Volume(), tk.Len(), core.Window(tk)
 			tsp = phase1.Child("task").Str("task", tk.Name).Int("index", int64(i)).
 				Int("vol", int64(vol)).Int("len", int64(l)).Int("window", int64(w)).
 				Float("density", float64(vol)/float64(w)).Bool("high", tk.HighDensity()).
-				Bool("eligible", core.TypedEligible(tk))
+				Bool("eligible", eligible)
 		}
-		if !core.TypedEligible(tk) {
+		if !eligible {
 			tsp.Finish()
 			alloc.LowIndices = append(alloc.LowIndices, i)
 			continue
@@ -167,7 +168,7 @@ func schedule(sys task.System, m int, mtypes []int, opt core.Options) (*core.All
 	}
 	lowPosByType := make([][]int, ntypes) // positions into LowIndices, per type
 	for pos, i := range alloc.LowIndices {
-		t, _ := sys[i].G.UniformType() // uniform by TypedEligible
+		t, _ := sys[i].G.UniformType() // uniform: not NeedsDedicated
 		lowPosByType[t] = append(lowPosByType[t], pos)
 	}
 	assignment := make([][]int, 0, len(alloc.SharedProcs))

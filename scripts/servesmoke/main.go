@@ -684,9 +684,9 @@ func typedSmoke() error {
 		return fmt.Errorf("typed allocation changed across kill -9 + restart:\n--- before ---\n%s--- after ---\n%s", before, after)
 	}
 
-	// A further typed admission on the recovered daemon re-analyzes in full
-	// (the typed policy has no warm path) and must land on a type-b shared
-	// processor, keeping the allocation verifiable end to end.
+	// A further typed admission on the recovered daemon rides the per-type
+	// partition banks rebuilt on recovery (the warm path) and must land on a
+	// type-b shared processor, keeping the allocation verifiable end to end.
 	s, _, err := admitRaw(client, base2, typedTask("post-crash-low", []int{1}, []task.Time{2}, 8, 16))
 	if err != nil {
 		return fmt.Errorf("post-crash typed admit: %w", err)
