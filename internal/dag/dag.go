@@ -18,6 +18,7 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -409,15 +410,12 @@ func (g *DAG) String() string {
 // Builder constructs DAGs incrementally. The zero Builder is ready to use.
 type Builder struct {
 	verts []Vertex
-	edges map[[2]int]struct{}
+	edges [][2]int // in AddEdge order, duplicates included
 }
 
 // NewBuilder returns a Builder expecting roughly n vertices.
 func NewBuilder(n int) *Builder {
-	return &Builder{
-		verts: make([]Vertex, 0, n),
-		edges: make(map[[2]int]struct{}),
-	}
+	return &Builder{verts: make([]Vertex, 0, n)}
 }
 
 // AddVertex appends a vertex of the default processor type (0) and returns
@@ -439,10 +437,7 @@ func (b *Builder) AddJob(wcet Time) int { return b.AddVertex("", wcet) }
 // AddEdge records the precedence constraint u → v. Duplicate edges are
 // ignored. Validity (range, self-loops, acyclicity) is checked by Build.
 func (b *Builder) AddEdge(u, v int) {
-	if b.edges == nil {
-		b.edges = make(map[[2]int]struct{})
-	}
-	b.edges[[2]int{u, v}] = struct{}{}
+	b.edges = append(b.edges, [2]int{u, v})
 }
 
 // Errors returned by Builder.Build.
@@ -455,6 +450,7 @@ var (
 )
 
 // Build validates the accumulated vertices and edges and returns the DAG.
+// Of several invalid edges, the first in AddEdge order is the one reported.
 func (b *Builder) Build() (*DAG, error) {
 	n := len(b.verts)
 	for i, v := range b.verts {
@@ -465,13 +461,9 @@ func (b *Builder) Build() (*DAG, error) {
 			return nil, fmt.Errorf("%w: vertex %d has type %d", ErrNegativeType, i, v.Type)
 		}
 	}
-	g := &DAG{
-		verts: append([]Vertex(nil), b.verts...),
-		succ:  make([][]int, n),
-		pred:  make([][]int, n),
-		wmemo: &widthMemo{},
-	}
-	for e := range b.edges {
+	// off[u] is where u's successor list starts in the shared backing array.
+	off := make([]int, n+1)
+	for _, e := range b.edges {
 		u, v := e[0], e[1]
 		if u < 0 || u >= n || v < 0 || v >= n {
 			return nil, fmt.Errorf("%w: (%d,%d) with |V|=%d", ErrEdgeRange, u, v, n)
@@ -479,13 +471,49 @@ func (b *Builder) Build() (*DAG, error) {
 		if u == v {
 			return nil, fmt.Errorf("%w: vertex %d", ErrSelfLoop, u)
 		}
-		g.succ[u] = append(g.succ[u], v)
-		g.pred[v] = append(g.pred[v], u)
-		g.m++
+		off[u+1]++
 	}
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
+	}
+	adj := make([]int, len(b.edges))
+	fill := append([]int(nil), off[:n]...)
+	for _, e := range b.edges {
+		adj[fill[e[0]]] = e[1]
+		fill[e[0]]++
+	}
+	g := &DAG{
+		verts: append([]Vertex(nil), b.verts...),
+		succ:  make([][]int, n),
+		pred:  make([][]int, n),
+		wmemo: &widthMemo{},
+	}
+	// Sort and deduplicate each successor list, packing the lists down to
+	// the front of adj; count in-degrees on the way.
+	indeg := fill[:n]
+	clear(indeg)
+	for u := 0; u < n; u++ {
+		s := adj[off[u]:off[u+1]]
+		slices.Sort(s)
+		s = slices.Compact(s)
+		start := g.m
+		g.m += copy(adj[start:], s)
+		g.succ[u] = adj[start:g.m:g.m]
+		for _, v := range g.succ[u] {
+			indeg[v]++
+		}
+	}
+	// Sweeping u upward appends each predecessor list in sorted order.
+	back := make([]int, g.m)
+	at := 0
 	for v := 0; v < n; v++ {
-		sort.Ints(g.succ[v])
-		sort.Ints(g.pred[v])
+		g.pred[v] = back[at : at : at+indeg[v]]
+		at += indeg[v]
+	}
+	for u := 0; u < n; u++ {
+		for _, v := range g.succ[u] {
+			g.pred[v] = append(g.pred[v], u)
+		}
 	}
 	if len(g.TopologicalOrder()) != n {
 		return nil, ErrCycle

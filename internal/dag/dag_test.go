@@ -73,6 +73,35 @@ func TestBuilderRejectsBadEdgeRange(t *testing.T) {
 	}
 }
 
+// TestBuilderReportsFirstInvalidEdge pins Build's error for input with more
+// than one bad edge: it names the first in AddEdge order, on every build, so
+// a rejected request gets the same error text on each try.
+func TestBuilderReportsFirstInvalidEdge(t *testing.T) {
+	b := NewBuilder(3)
+	for i := 0; i < 3; i++ {
+		b.AddJob(1)
+	}
+	b.AddEdge(0, 1)
+	b.AddEdge(2, 7)
+	b.AddEdge(1, 1)
+	b.AddEdge(-1, 0)
+	const want = "dag: edge endpoint out of range: (2,7) with |V|=3"
+	for i := 0; i < 50; i++ {
+		_, err := b.Build()
+		if err == nil || err.Error() != want {
+			t.Fatalf("build %d: err = %v, want %q", i, err, want)
+		}
+	}
+	body := []byte(`{"vertices":[{"wcet":1},{"wcet":1},{"wcet":1}],"edges":[[0,1],[2,2],[0,9],[1,1]]}`)
+	for i := 0; i < 50; i++ {
+		var g DAG
+		err := json.Unmarshal(body, &g)
+		if err == nil || err.Error() != "dag: self-loop edge: vertex 2" {
+			t.Fatalf("decode %d: err = %v, want the (2,2) self-loop", i, err)
+		}
+	}
+}
+
 func TestBuilderRejectsNonPositiveWCET(t *testing.T) {
 	for _, w := range []Time{0, -3} {
 		b := NewBuilder(1)
