@@ -54,12 +54,15 @@ fuzz:
 	$(GO) test -fuzz=FuzzVerifyAllocation -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzTaskHash -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzPartitionState -fuzztime=30s ./internal/partition/
+	$(GO) test -fuzz=FuzzDecodeFastPath -fuzztime=30s ./internal/task/
 
-# CI smoke pass over the property fuzz targets (30 s each).
+# CI smoke pass over the property fuzz targets (30 s each), including the
+# differential check of the single-pass task codec against encoding/json.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDBFStar -fuzztime=30s ./internal/dbf/
 	$(GO) test -fuzz=FuzzVerifyAllocation -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzPartitionState -fuzztime=30s ./internal/partition/
+	$(GO) test -fuzz=FuzzDecodeFastPath -fuzztime=30s ./internal/task/
 
 # The fast-vs-reference differential oracle under the race detector.
 oracle-race:
