@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-short test-race cover bench bench-test fuzz fuzz-smoke oracle-race par-race shard-race partition-race policy-race typed-race serve-smoke obs-smoke shard-bench policy-bench perf-gate perf-baseline experiments experiments-quick examples clean
+.PHONY: all check build vet test test-short test-race cover bench bench-test fuzz fuzz-smoke oracle-race par-race shard-race partition-race policy-race typed-race serve-smoke obs-smoke policy-bench perf-gate perf-baseline experiments experiments-quick examples clean
 
 all: build vet test
 
@@ -127,17 +127,11 @@ typed-race:
 serve-smoke:
 	$(GO) run ./scripts/servesmoke
 
-# Shared-nothing scaling sweep: boot fedschedd at -shards 1, 4 and 8, drive
-# each with the built-in cross-cluster load generator, and record
-# admissions/sec + latency quantiles into results/timing_shards.json.
-shard-bench:
-	$(GO) run ./scripts/shardbench
-
 # Policy benchmark: time cold and warm admissions under each -policy
-# (fedcons, semi, reservation) on a fixed workload and record the medians
-# into results/timing_policy.json.
+# (fedcons, semi, reservation, typed) on a fixed workload. Load testing of
+# the daemon itself is bench/ (`bash bench/run.sh`, see bench/README.md).
 policy-bench:
-	$(GO) run ./scripts/policybench
+	$(GO) test -run '^$$' -bench '^BenchmarkSchedulePolicy$$' -benchmem ./internal/service/
 
 # Observability smoke test: boot fedschedd with -v/-audit/-debug-addr, scrape
 # the Prometheus exposition, admit with ?trace=1 asserting the inline decision

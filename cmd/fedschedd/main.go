@@ -6,7 +6,6 @@
 // Usage:
 //
 //	fedschedd [flags]                 # serve
-//	fedschedd -loadgen [flags]        # drive a running instance
 //	fedschedd -wal-dump <path>        # print a WAL's records as JSON lines
 //
 // Endpoints:
@@ -83,7 +82,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fleetSelf    = fs.Int("fleet-self", 0, "this process's index into -fleet")
 		flightSize   = fs.Int("flight-recorder", 0, "per-shard flight-recorder entries for GET /debug/traces (0 = default, negative disables)")
 		flightSample = fs.Int("flight-sample", 0, "record a full decision trace for 1 in this many untraced admissions (0 = default, negative disables sampling)")
-		sloLatency   = fs.Duration("slo-latency", 0, "admit-latency SLO budget for the burn-rate metrics (0 = default 5ms); loadgen: client-side budget for the SLO summary")
+		sloLatency   = fs.Duration("slo-latency", 0, "admit-latency SLO budget for the burn-rate metrics (0 = default 5ms)")
 		sloWindow    = fs.Duration("slo-window", 0, "rolling window for the SLO burn-rate metrics (0 = default 1m)")
 		walDump      = fs.String("wal-dump", "", "dump the WAL at this path (file, shard dir, or -wal-dir root) as JSON lines and exit")
 		par          = fs.Int("par", runtime.GOMAXPROCS(0), "Phase-1 analysis worker pool size for every full analysis with ≥ 2 high-density tasks: cold and batch admissions, and recovery; verdicts are identical for every value")
@@ -93,13 +92,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		auditPath    = fs.String("audit", "", "append one JSON line per admission decision to this file")
 		debugAddr    = fs.String("debug-addr", "", "if set, serve net/http/pprof on this separate debug listener")
 		debugAddrf   = fs.String("debug-addrfile", "", "write the resolved debug listen address to this file once bound")
-		loadgen      = fs.Bool("loadgen", false, "run as a closed-loop load generator against -target instead of serving")
-		target       = fs.String("target", "", "loadgen: base URL of the fedschedd instance to drive")
-		duration     = fs.Duration("duration", 5*time.Second, "loadgen: how long to drive the target")
-		workers      = fs.Int("workers", 4, "loadgen: concurrent closed-loop clients")
-		seed         = fs.Int64("seed", 1, "loadgen: task-stream seed")
-		clusters     = fs.Int("clusters", 1, "loadgen: distinct cluster names to spread admissions over (1 = legacy unclustered)")
-		jsonOut      = fs.String("json", "", "loadgen: also append the run's summary as one JSON line to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -144,25 +136,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	if *walDump != "" {
 		return runWALDump(out, *walDump)
-	}
-
-	if *loadgen {
-		if *clusters < 1 {
-			return fmt.Errorf("-clusters must be ≥ 1, got %d", *clusters)
-		}
-		budget := *sloLatency
-		if budget == 0 {
-			budget = service.DefaultSLOLatencyBudget
-		}
-		return runLoadgen(ctx, out, loadgenConfig{
-			target:    *target,
-			duration:  *duration,
-			workers:   *workers,
-			seed:      *seed,
-			clusters:  *clusters,
-			jsonPath:  *jsonOut,
-			sloBudget: budget,
-		})
 	}
 
 	opt, err := service.ParseOptions(*minprocs, *prio, *heuristic, *admission)

@@ -98,7 +98,7 @@ func TestPolicyRecoveryMismatch(t *testing.T) {
 	// First life: admit under -policy=semi, snapshot, drain.
 	cancel, done, addrfile := boot("semi", "addr1")
 	base := "http://" + waitForAddr(t, addrfile)
-	if status, err := post(context.Background(), client, base+"/v1/admit", "", body); err != nil || status != http.StatusOK {
+	if status, err := post(context.Background(), client, base+"/v1/admit", body); err != nil || status != http.StatusOK {
 		t.Fatalf("admit: status %d, err %v", status, err)
 	}
 	cancel()

@@ -104,7 +104,7 @@ func TestTypedRecoveryByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if status, err := post(context.Background(), client, base+"/v1/admit", "", body); err != nil || status != http.StatusOK {
+		if status, err := post(context.Background(), client, base+"/v1/admit", body); err != nil || status != http.StatusOK {
 			t.Fatalf("admit %s: status %d, err %v", tk.Name, status, err)
 		}
 	}

@@ -46,10 +46,10 @@ func TestWALDump(t *testing.T) {
 	}
 	tk := task.MustNew("dump-me", dag.Example1(), dag.Example1D, dag.Example1T)
 	ctx := context.Background()
-	if status, _ := svc.AdmitTrace(ctx, tk, "trace-admit-1", nil); status != 200 {
+	if status, _ := svc.ShardFor("").AdmitTrace(ctx, tk, "trace-admit-1", nil); status != 200 {
 		t.Fatalf("admit = %d", status)
 	}
-	if status, _ := svc.RemoveTrace(ctx, "dump-me", "trace-remove-1"); status != 200 {
+	if status, _ := svc.ShardFor("").RemoveTrace(ctx, "dump-me", "trace-remove-1"); status != 200 {
 		t.Fatalf("remove = %d", status)
 	}
 	svc.Close()
@@ -86,7 +86,7 @@ func TestWALDumpTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	tk := task.MustNew("t1", dag.Example1(), dag.Example1D, dag.Example1T)
-	if status, _ := svc.Admit(context.Background(), tk); status != 200 {
+	if status, _ := svc.ShardFor("").Admit(context.Background(), tk); status != 200 {
 		t.Fatal("admit failed")
 	}
 	svc.Close()

@@ -43,7 +43,7 @@ func TestAdmitBatchAccept(t *testing.T) {
 	if !v.Schedulable || v.Tasks != 2 || len(v.High) != 1 || v.Dedicated != 3 || v.Shared != 5 {
 		t.Fatalf("batch verdict: %+v", v)
 	}
-	sys, _ := svc.Snapshot()
+	sys, _ := svc.ShardFor("").Snapshot()
 	if len(sys) != 2 {
 		t.Fatalf("snapshot has %d tasks, want 2", len(sys))
 	}
@@ -76,7 +76,7 @@ func TestAdmitBatchAtomicReject(t *testing.T) {
 	if v.Schedulable || v.Reason == "" {
 		t.Fatalf("rejection verdict: %+v", v)
 	}
-	sys, _ := svc.Snapshot()
+	sys, _ := svc.ShardFor("").Snapshot()
 	if len(sys) != 1 || sys[0].Name != "h1" {
 		t.Fatalf("reject mutated the system: %d tasks", len(sys))
 	}
@@ -104,7 +104,7 @@ func TestAdmitBatchNameConflicts(t *testing.T) {
 	if status != http.StatusConflict {
 		t.Fatalf("in-batch duplicate: %d %s, want 409", status, body)
 	}
-	if sys, _ := svc.Snapshot(); len(sys) != 1 {
+	if sys, _ := svc.ShardFor("").Snapshot(); len(sys) != 1 {
 		t.Fatalf("conflict installed tasks: %d, want 1", len(sys))
 	}
 }
@@ -131,17 +131,18 @@ func TestAdmitBatchValidation(t *testing.T) {
 // sheds with the same 429 + trace-ID contract as single admission.
 func TestAdmitBatchShed(t *testing.T) {
 	svc, ts := newTestServer(t, Config{M: 4, QueueBound: 1})
+	sh := svc.ShardFor("")
 	release := make(chan struct{})
 	blocked := make(chan struct{})
-	go svc.submit(context.Background(), "admit", "stall", func() opResult {
+	go sh.submit(context.Background(), "admit", "stall", func() opResult {
 		close(blocked)
 		<-release
 		return opResult{status: http.StatusOK}
 	})
 	<-blocked
-	go svc.submit(context.Background(), "admit", "fill", func() opResult { return opResult{status: http.StatusOK} })
+	go sh.submit(context.Background(), "admit", "fill", func() opResult { return opResult{status: http.StatusOK} })
 	deadline := time.Now().Add(time.Second)
-	for len(svc.reqs) == 0 && time.Now().Before(deadline) {
+	for len(sh.reqs) == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	status, body, hdr := doJSON(t, ts.Client(), http.MethodPost, ts.URL+"/v1/admit/batch",
@@ -217,10 +218,11 @@ func TestAdmitBatchParMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer svc.Close()
+			sh := svc.ShardFor("")
 			ctx := context.Background()
-			status, body := svc.AdmitBatch(ctx, sys.Clone())
-			hits, misses := svc.cache.Stats()
-			snap, _ := svc.Snapshot()
+			status, body := sh.AdmitBatch(ctx, sys.Clone())
+			hits, misses := sh.cache.Stats()
+			snap, _ := sh.Snapshot()
 			return status, body, hits, misses, snap
 		}
 		seqStatus, seqBody, seqHits, seqMisses, seqSnap := run(0)

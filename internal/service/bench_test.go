@@ -42,15 +42,17 @@ func probe() *task.DAGTask {
 	return task.MustNew("probe", dag.Example1(), dag.Example1D, dag.Example1T)
 }
 
-// seededServer starts a server with cfg, admits every task of sys, then runs
-// one probe admit+remove warmup round so later iterations hit steady state.
-func seededServer(b *testing.B, cfg Config, sys task.System) *Server {
+// seededServer starts a server with cfg, admits every task of sys into its
+// default shard, then runs one probe admit+remove warmup round so later
+// iterations hit steady state. It returns that default shard.
+func seededServer(b *testing.B, cfg Config, sys task.System) *Shard {
 	b.Helper()
-	svc, err := New(cfg)
+	srv, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(svc.Close)
+	b.Cleanup(srv.Close)
+	svc := srv.ShardFor("")
 	ctx := context.Background()
 	for i, tk := range sys {
 		if status, body := svc.Admit(ctx, tk); status != http.StatusOK {
@@ -198,8 +200,7 @@ func BenchmarkAdmitBatch(b *testing.B) {
 }
 
 // BenchmarkSchedulePolicy compares the admission cost of the -policy values
-// on the same workload, cold and warm (recorded in results/timing_policy.json
-// by scripts/policybench):
+// on the same workload, cold and warm (`make policy-bench`):
 //
 //   - cold/<policy>: one complete batch analysis with an empty memo. The
 //     split policies pay their fractional-sizing pass plus the combined

@@ -7,6 +7,7 @@ import (
 
 	"fedsched/internal/core"
 	"fedsched/internal/task"
+	"fedsched/internal/wire"
 )
 
 // Verdict is the machine-readable answer to "is this system schedulable by
@@ -130,9 +131,9 @@ func NewVerdict(sys task.System, m int, alloc *core.Allocation, err error) Verdi
 }
 
 // Encode renders the verdict as indented JSON with a trailing newline — the
-// exact bytes both the daemon endpoints and `fedsched -o json` emit. The
-// common shape (no trace, plain ASCII names, finite floats) is emitted by a
-// single-pass appender; anything else goes through encoding/json, and
+// exact bytes both the daemon endpoints and `fedsched -o json` emit. A
+// verdict with no trace and finite floats is emitted by a single-pass
+// appender; anything else goes through encoding/json, and
 // TestEncodeFastMatchesStdlib pins that both spellings are byte-identical.
 func (v Verdict) Encode() ([]byte, error) {
 	if b, ok := v.appendFast(); ok {
@@ -145,30 +146,18 @@ func (v Verdict) Encode() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// appendFast emits the MarshalIndent encoding in one pass. ok is false when
-// any field needs stdlib treatment (a raw trace, a string that JSON-escapes,
-// a non-finite float) — the caller then takes the two-pass path, so the
-// response bytes never depend on which encoder ran.
+// appendFast emits the MarshalIndent encoding in one pass, escaping every
+// string with wire.AppendString. ok is false when a field needs stdlib
+// treatment (a raw trace, or a non-finite float that encoding/json refuses)
+// — the caller then takes the two-pass path, so the response bytes never
+// depend on which encoder ran.
 func (v Verdict) appendFast() ([]byte, bool) {
-	if len(v.Trace) != 0 || !plainJSONString(v.Reason) || !plainJSONString(v.Policy) ||
-		!finite(v.USum) || !finite(v.DensitySum) {
+	if len(v.Trace) != 0 || !finite(v.USum) || !finite(v.DensitySum) {
 		return nil, false
 	}
 	for i := range v.High {
-		if !plainJSONString(v.High[i].Task) || !finite(v.High[i].Density) {
+		if !finite(v.High[i].Density) {
 			return nil, false
-		}
-	}
-	for i := range v.Servers {
-		if !plainJSONString(v.Servers[i].Task) {
-			return nil, false
-		}
-	}
-	for i := range v.SharedProcs {
-		for _, name := range v.SharedProcs[i].Tasks {
-			if !plainJSONString(name) {
-				return nil, false
-			}
 		}
 	}
 	b := make([]byte, 0, v.sizeHint())
@@ -187,9 +176,8 @@ func (v Verdict) appendFast() ([]byte, bool) {
 	b = append(b, ",\n  \"shared\": "...)
 	b = strconv.AppendInt(b, int64(v.Shared), 10)
 	if v.Policy != "" {
-		b = append(b, ",\n  \"policy\": \""...)
-		b = append(b, v.Policy...)
-		b = append(b, '"')
+		b = append(b, ",\n  \"policy\": "...)
+		b = wire.AppendString(b, v.Policy)
 	}
 	if len(v.MTypes) > 0 {
 		b = append(b, ",\n  \"mtypes\": "...)
@@ -201,9 +189,9 @@ func (v Verdict) appendFast() ([]byte, bool) {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = append(b, "\n    {\n      \"task\": \""...)
-			b = append(b, h.Task...)
-			b = append(b, "\",\n      \"density\": "...)
+			b = append(b, "\n    {\n      \"task\": "...)
+			b = wire.AppendString(b, h.Task)
+			b = append(b, ",\n      \"density\": "...)
 			b = appendJSONFloat(b, h.Density)
 			b = append(b, ",\n      \"procs\": "...)
 			b = appendIntArray(b, h.Procs, 3)
@@ -221,9 +209,9 @@ func (v Verdict) appendFast() ([]byte, bool) {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = append(b, "\n    {\n      \"task\": \""...)
-			b = append(b, sv.Task...)
-			b = append(b, "\",\n      \"budget\": "...)
+			b = append(b, "\n    {\n      \"task\": "...)
+			b = wire.AppendString(b, sv.Task)
+			b = append(b, ",\n      \"budget\": "...)
 			b = strconv.AppendInt(b, int64(sv.Budget), 10)
 			b = append(b, ",\n      \"deadline\": "...)
 			b = strconv.AppendInt(b, int64(sv.Deadline), 10)
@@ -248,9 +236,8 @@ func (v Verdict) appendFast() ([]byte, bool) {
 		b = append(b, "\n  ]"...)
 	}
 	if v.Reason != "" {
-		b = append(b, ",\n  \"reason\": \""...)
-		b = append(b, v.Reason...)
-		b = append(b, '"')
+		b = append(b, ",\n  \"reason\": "...)
+		b = wire.AppendString(b, v.Reason)
 	}
 	b = append(b, "\n}\n"...)
 	return b, true
@@ -271,19 +258,6 @@ func (v Verdict) sizeHint() int {
 		}
 	}
 	return n
-}
-
-// plainJSONString reports whether s encodes as itself between quotes: ASCII,
-// no control characters, nothing encoding/json escapes (including the
-// HTML-safety set & < >).
-func plainJSONString(s string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '&' || c == '<' || c == '>' {
-			return false
-		}
-	}
-	return true
 }
 
 func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
@@ -333,8 +307,7 @@ func appendIntArray(b []byte, xs []int, depth int) []byte {
 	return append(b, ']')
 }
 
-// appendStringArray is appendIntArray for the "tasks" position; every element
-// has already passed plainJSONString.
+// appendStringArray is appendIntArray for the "tasks" position.
 func appendStringArray(b []byte, xs []string) []byte {
 	if xs == nil {
 		return append(b, "null"...)
@@ -347,9 +320,8 @@ func appendStringArray(b []byte, xs []string) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, "\n        \""...)
-		b = append(b, x...)
-		b = append(b, '"')
+		b = append(b, "\n        "...)
+		b = wire.AppendString(b, x)
 	}
 	return append(b, "\n      ]"...)
 }

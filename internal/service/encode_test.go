@@ -25,7 +25,10 @@ func randVerdict(r *rand.Rand) Verdict {
 	floats := []float64{0, 1, 1.5, 0.1, 9.0 / 16.0, 123456789.123,
 		1e-7, 2.5e-9, 1e21, 3.25e22, -4.75, -1e-8,
 		math.SmallestNonzeroFloat64, math.MaxFloat64, r.Float64() * 100}
-	names := []string{"probe", "t0", "a_very_long_task-name.42", "x"}
+	// The last six names are ones encoding/json escapes: UTF-8, a control
+	// character, a backslash, a lone high byte, a quote and the HTML set.
+	names := []string{"probe", "t0", "a_very_long_task-name.42", "x",
+		"täsk", "a\tb", `path\to\nowhere`, string([]byte{0x80}), `h"`, "<a&b>"}
 	v := Verdict{
 		Schedulable: r.Intn(2) == 0,
 		Processors:  r.Intn(4096),
@@ -64,10 +67,11 @@ func randVerdict(r *rand.Rand) Verdict {
 		v.SharedProcs = append(v.SharedProcs, p)
 	}
 	if r.Intn(3) == 0 {
-		v.Reason = "system unschedulable: insufficient capacity"
+		v.Reason = []string{"system unschedulable: insufficient capacity",
+			`task "x" <rejected> & dropped`, `path\to\nowhere`, "täsk\n"}[r.Intn(4)]
 	}
 	// The shape fields, drawn last so every draw above is unchanged.
-	v.Policy = []string{"", "semi", "reservation", "typed"}[r.Intn(4)]
+	v.Policy = []string{"", "semi", "reservation", "typed", "<typed>", "sémi"}[r.Intn(6)]
 	switch r.Intn(3) {
 	case 0: // nil mtypes is omitted
 	case 1:
@@ -91,8 +95,9 @@ func randVerdict(r *rand.Rand) Verdict {
 // TestEncodeFastMatchesStdlib pins the single-pass verdict encoder against
 // encoding/json on randomized verdicts covering every field shape the daemon
 // produces: nil/empty/populated arrays, both float notations, omitted and
-// present reason, and the split and typed shapes' policy tag, per-type
-// budgets and reservation servers.
+// present reason, the split and typed shapes' policy tag, per-type budgets
+// and reservation servers, and task, server, policy and reason strings that
+// encoding/json escapes.
 func TestEncodeFastMatchesStdlib(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	taken := 0
@@ -100,7 +105,7 @@ func TestEncodeFastMatchesStdlib(t *testing.T) {
 		v := randVerdict(r)
 		fast, ok := v.appendFast()
 		if !ok {
-			t.Fatalf("trial %d: fast path refused a plain verdict: %+v", trial, v)
+			t.Fatalf("trial %d: fast path refused a traceless finite verdict: %+v", trial, v)
 		}
 		taken++
 		if want := refEncode(t, v); !bytes.Equal(fast, want) {
@@ -113,22 +118,16 @@ func TestEncodeFastMatchesStdlib(t *testing.T) {
 	}
 }
 
-// TestEncodeFastFallsBack pins that every input the single-pass encoder
-// cannot render verbatim is refused — and that Encode then still emits the
-// stdlib bytes.
+// TestEncodeFastFallsBack pins that the two inputs the single-pass encoder
+// leaves to encoding/json — a raw trace and a non-finite float — are refused,
+// and that Encode then still emits the stdlib bytes (or its error). Escaped
+// strings take the fast path; TestEncodeFastMatchesStdlib pins them.
 func TestEncodeFastFallsBack(t *testing.T) {
 	cases := map[string]Verdict{
-		"trace present":   {Trace: json.RawMessage(`[{"name":"fedcons"}]`)},
-		"escaped reason":  {Reason: `task "x" <rejected> & dropped`},
-		"utf8 task name":  {High: []HighGrant{{Task: "täsk"}}},
-		"control char":    {SharedProcs: []SharedProc{{Tasks: []string{"a\tb"}}}},
-		"nan usum":        {USum: math.NaN()},
-		"inf density":     {High: []HighGrant{{Task: "h", Density: math.Inf(1)}}},
-		"inf densitySum":  {DensitySum: math.Inf(-1)},
-		"backslash":       {Reason: `path\to\nowhere`},
-		"high ascii name": {SharedProcs: []SharedProc{{Tasks: []string{string([]byte{0x80})}}}},
-		"escaped policy":  {Policy: `<typed>`},
-		"escaped server":  {Servers: []ServerGrant{{Task: `h"#srv0`}}},
+		"trace present":  {Trace: json.RawMessage(`[{"name":"fedcons"}]`)},
+		"nan usum":       {USum: math.NaN()},
+		"inf density":    {High: []HighGrant{{Task: "h", Density: math.Inf(1)}}},
+		"inf densitySum": {DensitySum: math.Inf(-1)},
 	}
 	for name, v := range cases {
 		if _, ok := v.appendFast(); ok {

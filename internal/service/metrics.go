@@ -7,9 +7,9 @@ import (
 )
 
 // metrics holds one shard's counters. Each Shard owns its own expvar.Map
-// rather than publishing into the process-global expvar namespace, so tests
-// (and a -loadgen process driving itself) can hold many servers without
-// Publish collisions; /debug/vars renders the map(s).
+// rather than publishing into the process-global expvar namespace, so a
+// process (a test, say) can hold many servers without Publish collisions;
+// /debug/vars renders the map(s).
 //
 // Admission latency is an obs.Histogram — the same log-bucketed implementation
 // the rest of the pipeline uses — which replaced an earlier bespoke sample

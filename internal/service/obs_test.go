@@ -137,19 +137,20 @@ func TestAdmitTraceIDHeader(t *testing.T) {
 // asserts the 429 body names the trace ID from the header.
 func TestShedBodyCarriesTraceID(t *testing.T) {
 	svc, ts := newTestServer(t, Config{M: 4, QueueBound: 1})
+	sh := svc.ShardFor("")
 	// Stall the writer loop with a request that blocks until released.
 	release := make(chan struct{})
 	blocked := make(chan struct{})
-	go svc.submit(context.Background(), "admit", "stall", func() opResult {
+	go sh.submit(context.Background(), "admit", "stall", func() opResult {
 		close(blocked)
 		<-release
 		return opResult{status: http.StatusOK}
 	})
 	<-blocked
 	// Fill the queue.
-	go svc.submit(context.Background(), "admit", "fill", func() opResult { return opResult{status: http.StatusOK} })
+	go sh.submit(context.Background(), "admit", "fill", func() opResult { return opResult{status: http.StatusOK} })
 	deadline := time.Now().Add(time.Second)
-	for len(svc.reqs) == 0 && time.Now().Before(deadline) {
+	for len(sh.reqs) == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	status, body, hdr := doJSON(t, ts.Client(), http.MethodPost, ts.URL+"/v1/admit", admitBody(t, example1Task("x")))
@@ -252,8 +253,9 @@ func TestObserverRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
+	sh := svc.ShardFor("")
 	ctx := context.Background()
-	if status, _ := svc.Admit(ctx, trijob("h1")); status != http.StatusOK {
+	if status, _ := sh.Admit(ctx, trijob("h1")); status != http.StatusOK {
 		t.Fatal("admit failed")
 	}
 	r := <-recs
@@ -268,7 +270,7 @@ func TestObserverRecords(t *testing.T) {
 	}
 	// Second admission of a distinct name but identical DAG content: the
 	// re-analysis of h1 plus the new h2 are both Phase-1 memo hits.
-	if status, _ := svc.Admit(ctx, trijob("h2")); status != http.StatusOK {
+	if status, _ := sh.Admit(ctx, trijob("h2")); status != http.StatusOK {
 		t.Fatal("admit h2 failed")
 	}
 	r = <-recs
@@ -279,7 +281,7 @@ func TestObserverRecords(t *testing.T) {
 		t.Errorf("tasks after second admit = %d, want 2", r.Tasks)
 	}
 	// Remove is observed too.
-	if status, _ := svc.Remove(ctx, "h2"); status != http.StatusOK {
+	if status, _ := sh.Remove(ctx, "h2"); status != http.StatusOK {
 		t.Fatal("remove failed")
 	}
 	r = <-recs
@@ -297,11 +299,11 @@ func TestObserverRejectRecorded(t *testing.T) {
 	}
 	defer svc.Close()
 	ctx := context.Background()
-	if status, _ := svc.Admit(ctx, trijob("h1")); status != http.StatusOK {
+	if status, _ := svc.ShardFor("").Admit(ctx, trijob("h1")); status != http.StatusOK {
 		t.Fatal("admit failed")
 	}
 	<-recs
-	status, _ := svc.Admit(ctx, trijob("h2")) // needs 3 of the 1 remaining
+	status, _ := svc.ShardFor("").Admit(ctx, trijob("h2")) // needs 3 of the 1 remaining
 	if status != http.StatusConflict {
 		t.Fatalf("second trijob admitted on M=4: %d", status)
 	}

@@ -31,7 +31,7 @@ func restartServer(t *testing.T, svc *Server, cfg Config) (*Server, []byte) {
 // the same bytes an HTTP client would read.
 func allocationBytes(t *testing.T, svc *Server) (int, []byte) {
 	t.Helper()
-	sys, alloc := svc.Snapshot()
+	sys, alloc := svc.ShardFor("").Snapshot()
 	res := verdictResult(http.StatusOK, NewVerdict(sys, svc.cfg.M, alloc, nil))
 	return res.status, res.body
 }
@@ -47,44 +47,46 @@ func TestRecoveryByteIdenticalAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	sh := svc.ShardFor("")
 	for _, tk := range []string{"ex1", "ex2"} {
-		if status, body := svc.Admit(ctx, example1Task(tk)); status != http.StatusOK {
+		if status, body := sh.Admit(ctx, example1Task(tk)); status != http.StatusOK {
 			t.Fatalf("admit %s = %d: %s", tk, status, body)
 		}
 	}
 	// Two high-density tasks with identical DAG content: the Phase-1 memo is
 	// what recovery must rebuild.
 	for _, tk := range []string{"tri1", "tri2"} {
-		if status, _ := svc.Admit(ctx, trijob(tk)); status != http.StatusOK {
+		if status, _ := sh.Admit(ctx, trijob(tk)); status != http.StatusOK {
 			t.Fatalf("admit %s failed", tk)
 		}
 	}
-	if status, body := svc.AdmitBatch(ctx, []*task.DAGTask{example1Task("b1"), example1Task("b2")}); status != http.StatusOK {
+	if status, body := sh.AdmitBatch(ctx, []*task.DAGTask{example1Task("b1"), example1Task("b2")}); status != http.StatusOK {
 		t.Fatalf("batch = %d: %s", status, body)
 	}
-	if status, _ := svc.Remove(ctx, "ex2"); status != http.StatusOK {
+	if status, _ := sh.Remove(ctx, "ex2"); status != http.StatusOK {
 		t.Fatal("remove failed")
 	}
 	_, before := allocationBytes(t, svc)
 
 	again, after := restartServer(t, svc, cfg)
+	ash := again.ShardFor("")
 	if !bytes.Equal(before, after) {
 		t.Errorf("allocation changed across restart:\n--- before ---\n%s--- after ---\n%s", before, after)
 	}
 	// Recovery re-analyzed [ex1, tri1, tri2, b1, b2]: tri1 and tri2 share DAG
 	// content, so the replay itself must have hit the freshly warmed memo
 	// (only high-density tasks run Phase-1 MINPROCS and touch it).
-	hits, _ := again.Cache().Stats()
+	hits, _ := ash.Cache().Stats()
 	if hits < 1 {
 		t.Errorf("cache hits after recovery = %d; replay did not prewarm the memo", hits)
 	}
 	// And a re-admission of known content is a pure hit: the trial analysis
 	// re-runs Phase-1 for tri1, tri2 and the newcomer, all memoized.
-	h0, m0 := again.Cache().Stats()
-	if status, body := again.Admit(context.Background(), trijob("fresh")); status != http.StatusOK {
+	h0, m0 := ash.Cache().Stats()
+	if status, body := ash.Admit(context.Background(), trijob("fresh")); status != http.StatusOK {
 		t.Fatalf("post-recovery admit = %d: %s", status, body)
 	}
-	h1, m1 := again.Cache().Stats()
+	h1, m1 := ash.Cache().Stats()
 	if m1 != m0 || h1 <= h0 {
 		t.Errorf("post-recovery admit of cached content: hits %d→%d misses %d→%d, want pure hits", h0, h1, m0, m1)
 	}
@@ -119,17 +121,17 @@ func TestRecoveryRebuildsPartitionState(t *testing.T) {
 	}
 	for _, n := range []string{"low1", "low2", "low3"} {
 		n := n
-		apply("admit "+n, func(s *Server) (int, []byte) { return s.Admit(ctx, example1Task(n)) })
+		apply("admit "+n, func(s *Server) (int, []byte) { return s.ShardFor("").Admit(ctx, example1Task(n)) })
 	}
-	apply("admit hi", func(s *Server) (int, []byte) { return s.Admit(ctx, trijob("hi")) })
-	apply("remove low2", func(s *Server) (int, []byte) { return s.Remove(ctx, "low2") })
+	apply("admit hi", func(s *Server) (int, []byte) { return s.ShardFor("").Admit(ctx, trijob("hi")) })
+	apply("remove low2", func(s *Server) (int, []byte) { return s.ShardFor("").Remove(ctx, "low2") })
 
 	again, after := restartServer(t, crash, cfg)
 	_, want := allocationBytes(t, twin)
 	if !bytes.Equal(after, want) {
 		t.Fatalf("recovered allocation differs from never-crashed twin:\n--- recovered ---\n%s--- twin ---\n%s", after, want)
 	}
-	st := again.Shard.pstate
+	st := again.ShardFor("").pstate
 	if st == nil {
 		t.Fatal("recovery did not rebuild the incremental partition state")
 	}
@@ -143,12 +145,12 @@ func TestRecoveryRebuildsPartitionState(t *testing.T) {
 		if s1 != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", label, s1, b1)
 		}
-		if again.Shard.pstate != st {
+		if again.ShardFor("").pstate != st {
 			t.Errorf("%s rebuilt the partition state; warm path not taken", label)
 		}
 	}
-	step("post-recovery admit", func(s *Server) (int, []byte) { return s.Admit(ctx, example1Task("post")) })
-	step("post-recovery remove", func(s *Server) (int, []byte) { return s.Remove(ctx, "low3") })
+	step("post-recovery admit", func(s *Server) (int, []byte) { return s.ShardFor("").Admit(ctx, example1Task("post")) })
+	step("post-recovery remove", func(s *Server) (int, []byte) { return s.ShardFor("").Remove(ctx, "low3") })
 	_, a1 := allocationBytes(t, again)
 	_, a2 := allocationBytes(t, twin)
 	if !bytes.Equal(a1, a2) {
@@ -167,11 +169,11 @@ func TestRecoveryAcrossSnapshots(t *testing.T) {
 	ctx := context.Background()
 	names := []string{"a", "b", "c", "d", "e"}
 	for _, n := range names {
-		if status, _ := svc.Admit(ctx, example1Task(n)); status != http.StatusOK {
+		if status, _ := svc.ShardFor("").Admit(ctx, example1Task(n)); status != http.StatusOK {
 			t.Fatalf("admit %s failed", n)
 		}
 	}
-	if status, _ := svc.Remove(ctx, "c"); status != http.StatusOK {
+	if status, _ := svc.ShardFor("").Remove(ctx, "c"); status != http.StatusOK {
 		t.Fatal("remove failed")
 	}
 	_, before := allocationBytes(t, svc)
@@ -191,14 +193,14 @@ func TestRecoveryEmptyAfterRemoveAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if status, _ := svc.Admit(ctx, example1Task("only")); status != http.StatusOK {
+	if status, _ := svc.ShardFor("").Admit(ctx, example1Task("only")); status != http.StatusOK {
 		t.Fatal("admit failed")
 	}
-	if status, _ := svc.Remove(ctx, "only"); status != http.StatusOK {
+	if status, _ := svc.ShardFor("").Remove(ctx, "only"); status != http.StatusOK {
 		t.Fatal("remove failed")
 	}
 	again, _ := restartServer(t, svc, cfg)
-	sys, alloc := again.Snapshot()
+	sys, alloc := again.ShardFor("").Snapshot()
 	if len(sys) != 0 || alloc != nil {
 		t.Errorf("restart of drained system recovered %d tasks", len(sys))
 	}
@@ -214,7 +216,7 @@ func TestRecoveryRefusesMismatchedM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if status, _ := svc.Admit(context.Background(), example1Task("a")); status != http.StatusOK {
+	if status, _ := svc.ShardFor("").Admit(context.Background(), example1Task("a")); status != http.StatusOK {
 		t.Fatal("admit failed")
 	}
 	svc.Close()

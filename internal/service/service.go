@@ -107,14 +107,11 @@ type AdmissionRecord struct {
 }
 
 // Server is the admission-control front end: a stateless consistent-hash
-// router over Config.Shards shared-nothing Shard instances. The shard that
-// owns the empty cluster name is embedded as the default, so the single-shard
-// Server behaves — method for method and byte for byte — like the pre-shard
-// implementation: Admit, Remove, AdmitBatch, Snapshot and Cache all promote
-// from it.
+// router over Config.Shards shared-nothing Shard instances. Callers reach a
+// shard's Admit, Remove, AdmitBatch, Snapshot and Cache through ShardFor;
+// ShardFor("") is the default shard, which serves requests that name no
+// cluster.
 type Server struct {
-	*Shard // the default shard: owner of cluster ""
-
 	cfg     Config
 	shards  []*Shard
 	ring    *hashRing // cluster → local shard
@@ -188,7 +185,6 @@ func New(cfg Config) (*Server, error) {
 		sh.slo = s.slo
 		s.shards = append(s.shards, sh)
 	}
-	s.Shard = s.shards[s.ring.owner("")]
 	s.registry = s.fleetRegistry()
 	return s, nil
 }

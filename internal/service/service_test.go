@@ -231,7 +231,7 @@ func TestConcurrentAdmitsRemovesReads(t *testing.T) {
 				}
 				// …and a direct snapshot, audited: every state the server
 				// ever exposes must pass the independent checker.
-				sys, alloc := svc.Snapshot()
+				sys, alloc := svc.ShardFor("").Snapshot()
 				if len(sys) == 0 {
 					continue
 				}
@@ -243,7 +243,7 @@ func TestConcurrentAdmitsRemovesReads(t *testing.T) {
 	}
 	wg.Wait()
 
-	sys, alloc := svc.Snapshot()
+	sys, alloc := svc.ShardFor("").Snapshot()
 	if len(sys) > 0 {
 		if err := core.Verify(sys, 16, alloc); err != nil {
 			t.Fatalf("final state failed Verify: %v", err)

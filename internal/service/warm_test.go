@@ -194,7 +194,7 @@ func mixedWalk(t *testing.T, r *rand.Rand, seed int64, inc, full *Server, pool t
 			tk := pool[r.Intn(len(pool))]
 			tid := fmt.Sprintf("%08x-%06d", seed, step)
 			status := bothAgree(t, inc, full, label+" traced-admit", func(svc *Server) (int, []byte) {
-				s, b := svc.AdmitTrace(ctx, tk, tid, obs.New(obs.DefaultLimits))
+				s, b := svc.ShardFor("").AdmitTrace(ctx, tk, tid, obs.New(obs.DefaultLimits))
 				return s, b
 			})
 			if status == http.StatusOK {
@@ -203,7 +203,7 @@ func mixedWalk(t *testing.T, r *rand.Rand, seed int64, inc, full *Server, pool t
 		case step%13 == 7: // atomic batch of two
 			a, b := pool[r.Intn(len(pool))], pool[r.Intn(len(pool))]
 			status := bothAgree(t, inc, full, label+" batch", func(svc *Server) (int, []byte) {
-				return svc.AdmitBatch(ctx, []*task.DAGTask{a, b})
+				return svc.ShardFor("").AdmitBatch(ctx, []*task.DAGTask{a, b})
 			})
 			if status == http.StatusOK {
 				live[a.Name], live[b.Name] = true, true
@@ -215,7 +215,7 @@ func mixedWalk(t *testing.T, r *rand.Rand, seed int64, inc, full *Server, pool t
 			}
 			name := names[r.Intn(len(names))]
 			status := bothAgree(t, inc, full, label+" remove "+name, func(svc *Server) (int, []byte) {
-				return svc.Remove(ctx, name)
+				return svc.ShardFor("").Remove(ctx, name)
 			})
 			if status == http.StatusOK {
 				delete(live, name)
@@ -223,7 +223,7 @@ func mixedWalk(t *testing.T, r *rand.Rand, seed int64, inc, full *Server, pool t
 		default: // plain (warm-path-eligible) admit
 			tk := pool[r.Intn(len(pool))]
 			status := bothAgree(t, inc, full, label+" admit "+tk.Name, func(svc *Server) (int, []byte) {
-				return svc.Admit(ctx, tk)
+				return svc.ShardFor("").Admit(ctx, tk)
 			})
 			if status == http.StatusOK {
 				live[tk.Name] = true
@@ -251,7 +251,7 @@ func typedScript(t *testing.T) {
 		t.Helper()
 		var body []byte
 		status := bothAgree(t, inc, full, "admit "+tk.Name, func(svc *Server) (int, []byte) {
-			s, b := svc.Admit(ctx, tk)
+			s, b := svc.ShardFor("").Admit(ctx, tk)
 			body = b
 			return s, b
 		})
@@ -264,7 +264,7 @@ func typedScript(t *testing.T) {
 	remove := func(inc, full *Server, name string, want int) {
 		t.Helper()
 		status := bothAgree(t, inc, full, "remove "+name, func(svc *Server) (int, []byte) {
-			return svc.Remove(ctx, name)
+			return svc.ShardFor("").Remove(ctx, name)
 		})
 		if status != want {
 			t.Fatalf("remove %s: %d, want %d", name, status, want)
@@ -343,12 +343,12 @@ func stateWalk(t *testing.T, r *rand.Rand, seed int64, inc, full *Server, pool t
 			if isLive(tk.Name) {
 				// Duplicate admit: still must agree (409 on both).
 				bothAgree(t, inc, full, label+" dup-admit", func(svc *Server) (int, []byte) {
-					return svc.Admit(ctx, tk)
+					return svc.ShardFor("").Admit(ctx, tk)
 				})
 				continue
 			}
 			if bothAgree(t, inc, full, label+" admit", func(svc *Server) (int, []byte) {
-				return svc.Admit(ctx, tk)
+				return svc.ShardFor("").Admit(ctx, tk)
 			}) == http.StatusOK {
 				live = append(live, tk.Name)
 			}
@@ -356,7 +356,7 @@ func stateWalk(t *testing.T, r *rand.Rand, seed int64, inc, full *Server, pool t
 			i := r.Intn(len(live))
 			name := live[i]
 			if bothAgree(t, inc, full, label+" remove", func(svc *Server) (int, []byte) {
-				return svc.Remove(ctx, name)
+				return svc.ShardFor("").Remove(ctx, name)
 			}) == http.StatusOK {
 				live = append(live[:i], live[i+1:]...)
 			}
@@ -378,23 +378,23 @@ func TestWarmPathActuallyTaken(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
+	sh := svc.ShardFor("")
 	ctx := context.Background()
-	if status, body := svc.Admit(ctx, example1Task("seed")); status != http.StatusOK {
+	if status, body := sh.Admit(ctx, example1Task("seed")); status != http.StatusOK {
 		t.Fatalf("seed admit: %d %s", status, body)
 	}
-	sh := svc.Shard
 	if sh.pstate == nil {
 		t.Fatal("no partition state after first install")
 	}
 
 	st0 := sh.pstate
-	if status, _ := svc.Admit(ctx, example1Task("low")); status != http.StatusOK {
+	if status, _ := sh.Admit(ctx, example1Task("low")); status != http.StatusOK {
 		t.Fatal("low admit failed")
 	}
 	if sh.pstate != st0 {
 		t.Error("untraced low-density admit rebuilt the state: warm path not taken")
 	}
-	if status, _ := svc.Remove(ctx, "low"); status != http.StatusOK {
+	if status, _ := sh.Remove(ctx, "low"); status != http.StatusOK {
 		t.Fatal("low remove failed")
 	}
 	if sh.pstate != st0 {
@@ -403,7 +403,7 @@ func TestWarmPathActuallyTaken(t *testing.T) {
 
 	// Traced admit: must fall back (the trace comes from the batch code).
 	rec := obs.New(obs.DefaultLimits)
-	if status, body := svc.AdmitTrace(ctx, example1Task("traced"), "ffffffff-000001", rec); status != http.StatusOK {
+	if status, body := sh.AdmitTrace(ctx, example1Task("traced"), "ffffffff-000001", rec); status != http.StatusOK {
 		t.Fatalf("traced admit: %d %s", status, body)
 	}
 	if sh.pstate == st0 {
@@ -415,7 +415,7 @@ func TestWarmPathActuallyTaken(t *testing.T) {
 
 	// High-density admit: changes Phase-1 numbering, must rebuild.
 	st1 := sh.pstate
-	if status, _ := svc.Admit(ctx, trijob("high")); status != http.StatusOK {
+	if status, _ := sh.Admit(ctx, trijob("high")); status != http.StatusOK {
 		t.Fatal("high admit failed")
 	}
 	if sh.pstate == st1 {
@@ -428,7 +428,7 @@ func TestWarmPathActuallyTaken(t *testing.T) {
 	st2 := sh.pstate
 	rejected := false
 	for i := 0; i < 64 && !rejected; i++ {
-		switch status, body := svc.Admit(ctx, example1Task(fmt.Sprintf("fill%d", i))); status {
+		switch status, body := sh.Admit(ctx, example1Task(fmt.Sprintf("fill%d", i))); status {
 		case http.StatusOK:
 		case http.StatusConflict:
 			rejected = true
@@ -449,14 +449,15 @@ func TestWarmPathActuallyTaken(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fullSvc.Close()
-	if status, _ := fullSvc.Admit(ctx, example1Task("a")); status != http.StatusOK {
+	fsh := fullSvc.ShardFor("")
+	if status, _ := fsh.Admit(ctx, example1Task("a")); status != http.StatusOK {
 		t.Fatal("admit failed")
 	}
-	stf := fullSvc.Shard.pstate
-	if status, _ := fullSvc.Admit(ctx, example1Task("b")); status != http.StatusOK {
+	stf := fsh.pstate
+	if status, _ := fsh.Admit(ctx, example1Task("b")); status != http.StatusOK {
 		t.Fatal("admit failed")
 	}
-	if fullSvc.Shard.pstate == stf {
+	if fsh.pstate == stf {
 		t.Error("FullRepartition server served a mutation from the warm path")
 	}
 
@@ -468,29 +469,29 @@ func TestWarmPathActuallyTaken(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer typedSvc.Close()
-	if status, body := typedSvc.Admit(ctx, mixedHigh("h0")); status != http.StatusOK {
+	tsh := typedSvc.ShardFor("")
+	if status, body := tsh.Admit(ctx, mixedHigh("h0")); status != http.StatusOK {
 		t.Fatalf("typed seed admit: %d %s", status, body)
 	}
-	tsh := typedSvc.Shard
 	stt := tsh.pstate
 	if stt == nil {
 		t.Fatal("no typed partition state after first install")
 	}
 	for _, tk := range []*task.DAGTask{typedLow("a0", 0, 2, 8, 10), typedLow("b0", 1, 2, 8, 10)} {
-		if status, body := typedSvc.Admit(ctx, tk); status != http.StatusOK {
+		if status, body := tsh.Admit(ctx, tk); status != http.StatusOK {
 			t.Fatalf("typed low admit %s: %d %s", tk.Name, status, body)
 		}
 		if tsh.pstate != stt {
 			t.Errorf("typed low-density admit of %s rebuilt the state: warm path not taken", tk.Name)
 		}
 	}
-	if status, _ := typedSvc.Remove(ctx, "a0"); status != http.StatusOK {
+	if status, _ := tsh.Remove(ctx, "a0"); status != http.StatusOK {
 		t.Fatal("typed low remove failed")
 	}
 	if tsh.pstate != stt {
 		t.Error("typed low-density removal rebuilt the state: warm path not taken")
 	}
-	if status, body := typedSvc.Admit(ctx, mixedLow("mixed")); status != http.StatusOK {
+	if status, body := tsh.Admit(ctx, mixedLow("mixed")); status != http.StatusOK {
 		t.Fatalf("mixed-type admit: %d %s", status, body)
 	}
 	if tsh.pstate == stt {
