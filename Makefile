@@ -70,9 +70,9 @@ oracle-race:
 
 # The parallel Phase-1 engine's determinism pins under the race detector:
 # core's seed × worker-count differential matrix and the service-level
-# batch/incremental equivalence tests.
+# batch/incremental equivalence tests, cache-miss decision traces included.
 par-race:
-	$(GO) test -race -run 'TestSchedulePar|TestAdmitBatchParMatchesSequential|TestIncrementalMatchesBatch' ./internal/core/ ./internal/service/
+	$(GO) test -race -run 'TestSchedulePar|TestAdmitBatchParMatchesSequential|TestIncrementalMatchesBatch|TestMissTraceMatchesBatch' ./internal/core/ ./internal/service/
 
 # The sharded-router and WAL/snapshot durability suite under the race
 # detector: pre-refactor golden differentials through the router, kill/restart

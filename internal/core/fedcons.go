@@ -151,13 +151,21 @@ type Allocation struct {
 func (a *Allocation) TasksOnShared(k int) []int {
 	out := make([]int, 0, len(a.Low.Assignment[k]))
 	for _, pos := range a.Low.Assignment[k] {
-		if pos < len(a.Servers) {
-			out = append(out, a.Servers[pos].TaskIndex)
-			continue
-		}
-		out = append(out, a.LowIndices[pos-len(a.Servers)])
+		out = append(out, a.inputIndex(pos))
 	}
 	return out
+}
+
+// inputIndex maps a Phase-2 input position (servers first, then low-density
+// tasks; see PartitionSystem) to its input-system index, or -1 past the end.
+func (a *Allocation) inputIndex(pos int) int {
+	if pos < len(a.Servers) {
+		return a.Servers[pos].TaskIndex
+	}
+	if rest := pos - len(a.Servers); rest < len(a.LowIndices) {
+		return a.LowIndices[rest]
+	}
+	return -1
 }
 
 // ProcessorsUsed returns how many processors are dedicated to high-density
@@ -394,58 +402,99 @@ func ceilDensity(tk *task.DAGTask) int {
 // a *FailureError describing the phase and task responsible when the strict
 // path decided.
 func Schedule(sys task.System, m int, opt Options) (*Allocation, error) {
-	if opt.Policy != "" && opt.Policy != PolicyFedcons {
-		p, err := LookupPolicy(opt.Policy)
-		if err != nil {
-			return nil, err
-		}
-		return p.Schedule(sys, m, opt, scheduleFedcons)
-	}
-	return scheduleFedcons(sys, m, opt)
+	return ScheduleWith(sys, m, opt, minprocsSizer)
 }
 
-// scheduleFedcons is the strict FEDCONS(τ, m) of Fig. 2 — the body behind
-// Schedule's default dispatch and the fallback handed to policies.
-func scheduleFedcons(sys task.System, m int, opt Options) (*Allocation, error) {
-	if err := sys.Validate(); err != nil {
+// Grant is the Phase-1 share of one high-density task: Procs dedicated
+// processors (run from Template on the strict shape) plus Servers
+// reservation servers of Budget each.
+type Grant struct {
+	Procs    int
+	Template *listsched.Schedule
+	Servers  int
+	Budget   Time
+}
+
+// SizeFunc is the per-task step of the two-phase driver: it sizes the
+// high-density task tk (input index i) with mr processors remaining, records
+// its decisions on sp (nil when untraced), and reports false — a Phase-1
+// FAILURE — when no grant of at most mr dedicated processors exists.
+type SizeFunc func(i int, tk *task.DAGTask, mr int, sp *obs.Span) (Grant, bool)
+
+// Sizer builds the strict shape's SizeFunc for one validated Schedule call,
+// so it can precompute the whole system's Phase 1 first: core's LS prefetch
+// (Options.Par) or a memoizing caller's own pool.
+type Sizer func(sys task.System, opt Options) SizeFunc
+
+// ScheduleWith is Schedule with the strict shape's MINPROCS step built by
+// strict, both on the default path and in the fallback handed to policies.
+// A caller that memoizes Phase 1 (the service layer) passes its own Sizer;
+// the output must then be exactly Schedule's.
+func ScheduleWith(sys task.System, m int, opt Options, strict Sizer) (*Allocation, error) {
+	fedcons := func(sys task.System, m int, opt Options) (*Allocation, error) {
+		if err := ValidateInput(sys, m, opt); err != nil {
+			return nil, err
+		}
+		return TwoPhase(sys, m, opt, "", "fedcons", strict(sys, opt))
+	}
+	if opt.Policy == "" || opt.Policy == PolicyFedcons {
+		return fedcons(sys, m, opt)
+	}
+	p, err := LookupPolicy(opt.Policy)
+	if err != nil {
 		return nil, err
 	}
-	if m < 1 {
-		return nil, fmt.Errorf("fedcons: m must be ≥ 1, got %d", m)
-	}
-	if opt.Par < 0 {
-		return nil, fmt.Errorf("fedcons: par must be ≥ 0, got %d", opt.Par)
-	}
+	return p.Schedule(sys, m, opt, fedcons)
+}
 
-	alloc := &Allocation{M: m}
-	nextProc := 0 // processors [0, nextProc) are spoken for
-	mr := m       // m_r: remaining processors (Fig. 2 line 1)
-
-	// With Par > 1 the expensive LS scans of Phase 1 are precomputed on a
-	// worker pool; the merge loop below then replays them from the memo in
-	// canonical (input) order, so every decision — and every trace byte —
-	// is made by exactly the same code as the sequential path.
+// minprocsSizer is the paper's Phase-1 step: MINPROCS (Fig. 3), or its
+// analytic variant, bounded by m_r. With Par > 1 the LS scans are
+// precomputed on a worker pool and replayed here in input order, so every
+// decision — and every trace byte — is made by the sequential code.
+func minprocsSizer(sys task.System, opt Options) SizeFunc {
 	memos := phase1Prefetch(sys, opt)
-	runnerFor := func(i int, tk *task.DAGTask) lsRunner {
-		if memos != nil && memos[i] != nil {
-			return memos[i]
-		}
-		return liveRunner(tk, opt.Priority)
-	}
 	minprocs := minprocsTrace
 	if opt.Minprocs == Analytic {
 		minprocs = minprocsAnalyticTrace
 	}
+	return func(i int, tk *task.DAGTask, mr int, sp *obs.Span) (Grant, bool) {
+		var ls lsRunner
+		if memos != nil {
+			ls = memos[i]
+		}
+		if ls == nil {
+			ls = liveRunner(tk, opt.Priority)
+		}
+		mu, tmpl, ok := minprocs(tk, mr, sp, ls)
+		if ok {
+			sp.Int("mu", int64(mu))
+		}
+		return Grant{Procs: mu, Template: tmpl}, ok
+	}
+}
 
-	root := opt.Trace.Start("fedcons")
+// TwoPhase is the two-phase loop of FEDCONS (Fig. 2) for every strict or
+// split allocation shape; the caller has validated the input. Phase 1 walks
+// the tasks in input order, sizes each high-density one with size and
+// numbers its dedicated processors consecutively; Phase 2 partitions the
+// servers and low-density tasks (PartitionSystem) onto the processors left.
+// policy tags the allocation ("" is strict) and span names the root trace
+// span. A rejection is a *FailureError naming the task's input index.
+func TwoPhase(sys task.System, m int, opt Options, policy, span string, size SizeFunc) (*Allocation, error) {
+	alloc := &Allocation{M: m, Policy: policy}
+	nextProc := 0 // processors [0, nextProc) are spoken for
+	mr := m       // m_r: remaining processors (Fig. 2 line 1)
+
+	root := opt.Trace.Start(span)
 	if root != nil {
-		root.Int("m", int64(m)).Int("tasks", int64(len(sys))).
-			Str("minprocs", opt.Minprocs.String())
+		root.Int("m", int64(m)).Int("tasks", int64(len(sys)))
+		if policy == "" {
+			root.Str("minprocs", opt.Minprocs.String())
+		}
 	}
 
 	// Phase 1: size and place each high-density task (Fig. 2 lines 2–6).
 	phase1 := root.Child("phase1")
-	var low task.System
 	for i, tk := range sys {
 		var tsp *obs.Span
 		if phase1 != nil {
@@ -456,46 +505,59 @@ func scheduleFedcons(sys task.System, m int, opt Options) (*Allocation, error) {
 		}
 		if !tk.HighDensity() {
 			tsp.Finish()
-			low = append(low, tk)
 			alloc.LowIndices = append(alloc.LowIndices, i)
 			continue
 		}
-		mi, tmpl, ok := minprocs(tk, mr, tsp, runnerFor(i, tk))
+		g, ok := size(i, tk, mr, tsp)
 		if !ok {
 			tsp.Bool("failed", true).Finish()
 			phase1.Finish()
 			root.Bool("schedulable", false).Str("phase", PhaseHighDensity.String()).Finish()
 			return nil, &FailureError{Phase: PhaseHighDensity, TaskIndex: i, TaskName: tk.Name, Remaining: mr}
 		}
-		tsp.Int("mu", int64(mi)).Finish()
-		procs := make([]int, mi)
-		for p := range procs {
-			procs[p] = nextProc
-			nextProc++
+		tsp.Finish()
+		if g.Procs > 0 {
+			procs := make([]int, g.Procs)
+			for p := range procs {
+				procs[p] = nextProc
+				nextProc++
+			}
+			alloc.High = append(alloc.High, HighAssignment{TaskIndex: i, Procs: procs, Template: g.Template})
+			mr -= g.Procs
 		}
-		alloc.High = append(alloc.High, HighAssignment{TaskIndex: i, Procs: procs, Template: tmpl})
-		mr -= mi
+		for j := 0; j < g.Servers; j++ {
+			alloc.Servers = append(alloc.Servers, ServerSpec{TaskIndex: i, Budget: g.Budget})
+		}
 	}
 	phase1.Int("dedicated", int64(nextProc)).Int("remaining", int64(mr)).Finish()
 
-	// Phase 2: partition the low-density tasks (Fig. 2 line 7).
+	// Phase 2: partition the servers and low-density tasks (Fig. 2 line 7).
 	for p := 0; p < mr; p++ {
 		alloc.SharedProcs = append(alloc.SharedProcs, nextProc+p)
 	}
+	input, err := PartitionSystem(sys, alloc)
+	if err != nil {
+		root.Bool("schedulable", false).Finish()
+		return nil, err
+	}
 	phase2 := root.Child("phase2")
 	if phase2 != nil {
-		phase2.Int("procs", int64(mr)).Int("low", int64(len(low))).
+		phase2.Int("procs", int64(mr))
+		if policy != "" {
+			phase2.Int("servers", int64(len(alloc.Servers)))
+		}
+		phase2.Int("low", int64(len(alloc.LowIndices))).
 			Str("heuristic", opt.Partition.Heuristic.String()).
 			Str("test", opt.Partition.Test.String())
 	}
 	popt := opt.Partition
 	popt.Trace = phase2
-	res, err := partition.Partition(low, mr, popt)
+	res, err := partition.Partition(input, mr, popt)
 	if err != nil {
 		fe := &FailureError{Phase: PhaseLowDensity, Remaining: mr, Err: err}
 		var pf *partition.FailureError
 		if errors.As(err, &pf) {
-			fe.TaskIndex = alloc.LowIndices[pf.TaskIndex]
+			fe.TaskIndex = alloc.inputIndex(pf.TaskIndex)
 			fe.TaskName = pf.TaskName
 		}
 		phase2.Bool("failed", true).Finish()

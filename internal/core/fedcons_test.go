@@ -3,10 +3,12 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fedsched/internal/dag"
 	"fedsched/internal/listsched"
+	"fedsched/internal/obs"
 	"fedsched/internal/partition"
 	"fedsched/internal/task"
 )
@@ -393,5 +395,41 @@ func BenchmarkScheduleMixed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = Schedule(sys, 16, Options{})
+	}
+}
+
+// TwoPhase maps a split shape's failures back to input indices: a Phase-1
+// rejection names the sized task, and a Phase-2 rejection of a server names
+// its owner while one of a low-density task names that task.
+func TestTwoPhaseSplitFailureIndex(t *testing.T) {
+	sys := task.System{
+		lowTask("a", 9, 10, 10),
+		highTask("h1", 2, 5, 5, 5),
+		highTask("h2", 2, 5, 5, 5),
+		lowTask("b", 9, 10, 10),
+	}
+	servers := func(_ int, tk *task.DAGTask, _ int, _ *obs.Span) (Grant, bool) {
+		return Grant{Servers: 2, Budget: 5}, true
+	}
+	for _, tc := range []struct {
+		m     int
+		owner string
+	}{{2, "h2"}, {4, "a"}, {5, "b"}} {
+		_, err := TwoPhase(sys, tc.m, Options{}, PolicyReservation, "reservation", servers)
+		var fe *FailureError
+		if !errors.As(err, &fe) || fe.Phase != PhaseLowDensity {
+			t.Fatalf("m=%d: want a low-density FailureError, got %v", tc.m, err)
+		}
+		if got := sys[fe.TaskIndex].Name; got != tc.owner || !strings.HasPrefix(fe.TaskName, tc.owner) {
+			t.Errorf("m=%d: failure names %q at input index %d (%s), want owner %s", tc.m, fe.TaskName, fe.TaskIndex, got, tc.owner)
+		}
+	}
+	refuse := func(i int, _ *task.DAGTask, _ int, _ *obs.Span) (Grant, bool) {
+		return Grant{Procs: 1}, i == 1
+	}
+	_, err := TwoPhase(sys, 4, Options{}, PolicySemi, "semifed", refuse)
+	var fe *FailureError
+	if !errors.As(err, &fe) || fe.Phase != PhaseHighDensity || fe.TaskIndex != 2 || fe.Remaining != 3 {
+		t.Fatalf("want a high-density FailureError for task 2 with 3 processors left, got %v", err)
 	}
 }

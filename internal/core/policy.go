@@ -20,7 +20,9 @@ import (
 //
 //   - the policy registry Schedule and the service layer dispatch through;
 //   - the split allocation shape (Allocation.Policy + Allocation.Servers) and
-//     the construction of server tasks for the shared Phase-2 partitioner.
+//     the construction of server tasks for the shared Phase-2 partitioner;
+//   - the two-phase loop itself (TwoPhase in fedcons.go): a split policy
+//     supplies only its per-task sizing step.
 //
 // The split shapes' entries in the auditor's shape table (verify.go) let
 // Verify audit their output without importing the policy packages.
@@ -51,8 +53,8 @@ const (
 )
 
 // ScheduleFunc is the signature of a strict-FEDCONS scheduler. Policies
-// receive one as their fallback so a memoizing caller (the service layer)
-// can substitute its cache-backed equivalent for core's batch Schedule.
+// receive one as their fallback; ScheduleWith builds it from the caller's
+// Sizer, so a memoizing caller (the service layer) keeps its memo there.
 type ScheduleFunc func(sys task.System, m int, opt Options) (*Allocation, error)
 
 // Policy is one pluggable admission strategy. Schedule must be a pure
@@ -131,12 +133,11 @@ func NormalizePolicy(name string) (string, error) {
 }
 
 // Window exposes the dag-job scheduling window min(D_i, T_i) to policy
-// implementations.
+// implementations and the service layer.
 func Window(tk *task.DAGTask) Time { return window(tk) }
 
-// ValidateInput mirrors Schedule's input checks for policy implementations,
-// so a policy rejects malformed input with the same errors as the strict
-// path.
+// ValidateInput is Schedule's input check, exported so a policy rejects
+// malformed input with the same errors as the strict path.
 func ValidateInput(sys task.System, m int, opt Options) error {
 	if err := sys.Validate(); err != nil {
 		return err

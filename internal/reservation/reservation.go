@@ -33,11 +33,8 @@
 package reservation
 
 import (
-	"errors"
-
 	"fedsched/internal/core"
 	"fedsched/internal/obs"
-	"fedsched/internal/partition"
 	"fedsched/internal/task"
 )
 
@@ -56,7 +53,7 @@ func (policy) Schedule(sys task.System, m int, opt core.Options, fallback core.S
 	if err := core.ValidateInput(sys, m, opt); err != nil {
 		return nil, err
 	}
-	if alloc, err := schedule(sys, m, opt); err == nil {
+	if alloc, err := core.TwoPhase(sys, m, opt, core.PolicyReservation, "reservation", size); err == nil {
 		return alloc, nil
 	}
 	fopt := opt
@@ -87,88 +84,13 @@ func Servers(tk *task.DAGTask) (r int, budget task.Time, ok bool) {
 	return int(rr), budget, true
 }
 
-// schedule is the reservation-shape attempt: size every high-density task
-// into servers, then partition servers plus low-density tasks over the whole
-// platform. No dedicated processors are granted (High stays empty).
-func schedule(sys task.System, m int, opt core.Options) (*core.Allocation, error) {
-	alloc := &core.Allocation{M: m, Policy: core.PolicyReservation}
-
-	root := opt.Trace.Start("reservation")
-	if root != nil {
-		root.Int("m", int64(m)).Int("tasks", int64(len(sys)))
+// size is the reservation attempt's Phase-1 step: Servers' r servers and no
+// dedicated processor, so Phase 2 partitions over the whole platform.
+func size(_ int, tk *task.DAGTask, _ int, sp *obs.Span) (core.Grant, bool) {
+	r, budget, ok := Servers(tk)
+	if !ok {
+		return core.Grant{}, false
 	}
-
-	phase1 := root.Child("phase1")
-	for i, tk := range sys {
-		var tsp *obs.Span
-		if phase1 != nil {
-			vol, l, w := tk.Volume(), tk.Len(), core.Window(tk)
-			tsp = phase1.Child("task").Str("task", tk.Name).Int("index", int64(i)).
-				Int("vol", int64(vol)).Int("len", int64(l)).Int("window", int64(w)).
-				Float("density", float64(vol)/float64(w)).Bool("high", tk.HighDensity())
-		}
-		if !tk.HighDensity() {
-			tsp.Finish()
-			alloc.LowIndices = append(alloc.LowIndices, i)
-			continue
-		}
-		r, budget, ok := Servers(tk)
-		if !ok {
-			tsp.Bool("failed", true).Finish()
-			phase1.Finish()
-			root.Bool("schedulable", false).Str("phase", core.PhaseHighDensity.String()).Finish()
-			return nil, &core.FailureError{Phase: core.PhaseHighDensity, TaskIndex: i, TaskName: tk.Name, Remaining: m}
-		}
-		tsp.Int("servers", int64(r)).Int("budget", int64(budget)).Finish()
-		for j := 0; j < r; j++ {
-			alloc.Servers = append(alloc.Servers, core.ServerSpec{TaskIndex: i, Budget: budget})
-		}
-	}
-	phase1.Int("dedicated", 0).Int("remaining", int64(m)).Finish()
-
-	for p := 0; p < m; p++ {
-		alloc.SharedProcs = append(alloc.SharedProcs, p)
-	}
-	combined, err := core.PartitionSystem(sys, alloc)
-	if err != nil {
-		root.Bool("schedulable", false).Finish()
-		return nil, err
-	}
-	phase2 := root.Child("phase2")
-	if phase2 != nil {
-		phase2.Int("procs", int64(m)).Int("servers", int64(len(alloc.Servers))).
-			Int("low", int64(len(alloc.LowIndices))).
-			Str("heuristic", opt.Partition.Heuristic.String()).
-			Str("test", opt.Partition.Test.String())
-	}
-	popt := opt.Partition
-	popt.Trace = phase2
-	res, err := partition.Partition(combined, m, popt)
-	if err != nil {
-		fe := &core.FailureError{Phase: core.PhaseLowDensity, Remaining: m, Err: err}
-		var pf *partition.FailureError
-		if errors.As(err, &pf) {
-			fe.TaskIndex = inputIndex(alloc, pf.TaskIndex)
-			fe.TaskName = pf.TaskName
-		}
-		phase2.Bool("failed", true).Finish()
-		root.Bool("schedulable", false).Str("phase", core.PhaseLowDensity.String()).Finish()
-		return nil, fe
-	}
-	phase2.Finish()
-	root.Bool("schedulable", true).Finish()
-	alloc.Low = res
-	return alloc, nil
-}
-
-// inputIndex maps a combined-partition position (servers first, then low
-// tasks) back to the input-system index for failure reporting.
-func inputIndex(a *core.Allocation, pos int) int {
-	if pos < len(a.Servers) {
-		return a.Servers[pos].TaskIndex
-	}
-	if rest := pos - len(a.Servers); rest < len(a.LowIndices) {
-		return a.LowIndices[rest]
-	}
-	return -1
+	sp.Int("servers", int64(r)).Int("budget", int64(budget))
+	return core.Grant{Servers: r, Budget: budget}, true
 }

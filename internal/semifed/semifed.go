@@ -35,11 +35,8 @@
 package semifed
 
 import (
-	"errors"
-
 	"fedsched/internal/core"
 	"fedsched/internal/obs"
-	"fedsched/internal/partition"
 	"fedsched/internal/task"
 )
 
@@ -58,7 +55,7 @@ func (policy) Schedule(sys task.System, m int, opt core.Options, fallback core.S
 	if err := core.ValidateInput(sys, m, opt); err != nil {
 		return nil, err
 	}
-	if alloc, err := schedule(sys, m, opt); err == nil {
+	if alloc, err := core.TwoPhase(sys, m, opt, core.PolicySemi, "semifed", size); err == nil {
 		return alloc, nil
 	}
 	fopt := opt
@@ -84,98 +81,13 @@ func Split(tk *task.DAGTask) (d int, budget task.Time, ok bool) {
 	return int(dd), vol - dd*(w-l), true
 }
 
-// schedule is the split-shape attempt. Phase 1 sizes every high-density task
-// with Split and hands out dedicated processors; Phase 2 partitions the
-// fractional servers together with the low-density tasks onto the remaining
-// processors.
-func schedule(sys task.System, m int, opt core.Options) (*core.Allocation, error) {
-	alloc := &core.Allocation{M: m, Policy: core.PolicySemi}
-	nextProc := 0
-	mr := m
-
-	root := opt.Trace.Start("semifed")
-	if root != nil {
-		root.Int("m", int64(m)).Int("tasks", int64(len(sys)))
+// size is the split attempt's Phase-1 step: Split's d dedicated processors
+// (at most the m_r remaining) plus one server.
+func size(_ int, tk *task.DAGTask, mr int, sp *obs.Span) (core.Grant, bool) {
+	d, budget, ok := Split(tk)
+	if !ok || d > mr {
+		return core.Grant{}, false
 	}
-
-	phase1 := root.Child("phase1")
-	for i, tk := range sys {
-		var tsp *obs.Span
-		if phase1 != nil {
-			vol, l, w := tk.Volume(), tk.Len(), core.Window(tk)
-			tsp = phase1.Child("task").Str("task", tk.Name).Int("index", int64(i)).
-				Int("vol", int64(vol)).Int("len", int64(l)).Int("window", int64(w)).
-				Float("density", float64(vol)/float64(w)).Bool("high", tk.HighDensity())
-		}
-		if !tk.HighDensity() {
-			tsp.Finish()
-			alloc.LowIndices = append(alloc.LowIndices, i)
-			continue
-		}
-		d, budget, ok := Split(tk)
-		if !ok || d > mr {
-			tsp.Bool("failed", true).Finish()
-			phase1.Finish()
-			root.Bool("schedulable", false).Str("phase", core.PhaseHighDensity.String()).Finish()
-			return nil, &core.FailureError{Phase: core.PhaseHighDensity, TaskIndex: i, TaskName: tk.Name, Remaining: mr}
-		}
-		tsp.Int("dedicated", int64(d)).Int("budget", int64(budget)).Finish()
-		if d > 0 {
-			procs := make([]int, d)
-			for p := range procs {
-				procs[p] = nextProc
-				nextProc++
-			}
-			alloc.High = append(alloc.High, core.HighAssignment{TaskIndex: i, Procs: procs})
-			mr -= d
-		}
-		alloc.Servers = append(alloc.Servers, core.ServerSpec{TaskIndex: i, Budget: budget})
-	}
-	phase1.Int("dedicated", int64(nextProc)).Int("remaining", int64(mr)).Finish()
-
-	for p := 0; p < mr; p++ {
-		alloc.SharedProcs = append(alloc.SharedProcs, nextProc+p)
-	}
-	combined, err := core.PartitionSystem(sys, alloc)
-	if err != nil {
-		root.Bool("schedulable", false).Finish()
-		return nil, err
-	}
-	phase2 := root.Child("phase2")
-	if phase2 != nil {
-		phase2.Int("procs", int64(mr)).Int("servers", int64(len(alloc.Servers))).
-			Int("low", int64(len(alloc.LowIndices))).
-			Str("heuristic", opt.Partition.Heuristic.String()).
-			Str("test", opt.Partition.Test.String())
-	}
-	popt := opt.Partition
-	popt.Trace = phase2
-	res, err := partition.Partition(combined, mr, popt)
-	if err != nil {
-		fe := &core.FailureError{Phase: core.PhaseLowDensity, Remaining: mr, Err: err}
-		var pf *partition.FailureError
-		if errors.As(err, &pf) {
-			fe.TaskIndex = inputIndex(alloc, pf.TaskIndex)
-			fe.TaskName = pf.TaskName
-		}
-		phase2.Bool("failed", true).Finish()
-		root.Bool("schedulable", false).Str("phase", core.PhaseLowDensity.String()).Finish()
-		return nil, fe
-	}
-	phase2.Finish()
-	root.Bool("schedulable", true).Finish()
-	alloc.Low = res
-	return alloc, nil
-}
-
-// inputIndex maps a combined-partition position (servers first, then low
-// tasks) back to the input-system index for failure reporting.
-func inputIndex(a *core.Allocation, pos int) int {
-	if pos < len(a.Servers) {
-		return a.Servers[pos].TaskIndex
-	}
-	if rest := pos - len(a.Servers); rest < len(a.LowIndices) {
-		return a.LowIndices[rest]
-	}
-	return -1
+	sp.Int("dedicated", int64(d)).Int("budget", int64(budget))
+	return core.Grant{Procs: d, Servers: 1, Budget: budget}, true
 }

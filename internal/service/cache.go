@@ -170,7 +170,7 @@ func (c *AnalysisCache) prewarmPhase1(sys task.System, opt core.Options, par int
 	out := make(map[*task.DAGTask]prewarmed, len(high))
 	runPool(par, len(order), func(i int) {
 		for _, tk := range groups[order[i]] {
-			res, hit := c.minprocsTraced(tk, opt, nil)
+			res, hit := c.minprocsTraced(tk, opt, 0, nil)
 			mu.Lock()
 			out[tk] = prewarmed{res: res, hit: hit}
 			mu.Unlock()
@@ -208,18 +208,27 @@ func runPool(workers, n int, fn func(i int)) {
 // core.Minprocs is the DAG width: the scan caps there anyway, and (when
 // len ≤ min(D,T)) it is guaranteed to succeed by μ = width, so the result is
 // the true unbounded μ*. For the analytic rule the closed form is
-// independent of the platform, so any large bound works. The optional
-// decision-trace span is recorded only on a miss, where the real scan runs.
-func (c *AnalysisCache) minprocsTraced(tk *task.DAGTask, opt core.Options, sp *obs.Span) (phase1Result, bool) {
+// independent of the platform, so any large bound works.
+//
+// A traced miss (sp non-nil) first runs core's scan bounded by the mr
+// processors remaining, recording exactly the span core.Schedule records;
+// its success is μ*, and only a failure below the bound needs the untraced
+// unbounded analysis. Untraced calls ignore mr.
+func (c *AnalysisCache) minprocsTraced(tk *task.DAGTask, opt core.Options, mr int, sp *obs.Span) (phase1Result, bool) {
 	h := c.hashOf(tk)
 	if res, ok := c.lookup(h, tk); ok {
 		return res, true
 	}
-	var res phase1Result
+	minprocs, bound := core.MinprocsTrace, tk.G.Width()
 	if opt.Minprocs == core.Analytic {
-		res.mu, res.tmpl, res.feasible = core.MinprocsAnalyticTrace(tk, int(^uint(0)>>1), opt.Priority, sp)
-	} else {
-		res.mu, res.tmpl, res.feasible = core.MinprocsTrace(tk, tk.G.Width(), opt.Priority, sp)
+		minprocs, bound = core.MinprocsAnalyticTrace, int(^uint(0)>>1)
+	}
+	var res phase1Result
+	if sp != nil {
+		res.mu, res.tmpl, res.feasible = minprocs(tk, mr, opt.Priority, sp)
+	}
+	if !res.feasible && (sp == nil || mr < bound) {
+		res.mu, res.tmpl, res.feasible = minprocs(tk, bound, opt.Priority, nil)
 	}
 	c.store(h, tk, res)
 	return res, false

@@ -112,7 +112,7 @@ func NewVerdict(sys task.System, m int, alloc *core.Allocation, err error) Verdi
 		v.Servers = append(v.Servers, ServerGrant{
 			Task:     srvNames[j],
 			Budget:   sv.Budget,
-			Deadline: taskWindow(owner),
+			Deadline: core.Window(owner),
 			Period:   owner.T,
 		})
 	}

@@ -1,161 +1,51 @@
 package service
 
 import (
-	"errors"
-	"fmt"
-
 	"fedsched/internal/core"
 	"fedsched/internal/obs"
-	"fedsched/internal/partition"
 	"fedsched/internal/task"
 )
 
-// Schedule runs the configured admission policy with strict-FEDCONS analyses
-// drawn from the memo cache: the strict path ("" or "fedcons") goes straight
-// to scheduleFedcons; any other policy is dispatched through the core
-// registry with the cache-backed scheduler as its fallback, so a policy's
-// strict retry also benefits from the memo.
+// Schedule runs the configured admission policy exactly as core.Schedule
+// does, with the strict shape's Phase-1 MINPROCS results drawn from the memo
+// cache (sizer) — also in a policy's strict fallback. The memo only removes
+// redundant list-scheduling work: allocations and *core.FailureErrors are
+// identical, which the differential tests in incremental_test.go pin.
 func (c *AnalysisCache) Schedule(sys task.System, m int, opt core.Options) (*core.Allocation, error) {
-	if opt.Policy != "" && opt.Policy != core.PolicyFedcons {
-		p, err := core.LookupPolicy(opt.Policy)
-		if err != nil {
-			return nil, err
-		}
-		return p.Schedule(sys, m, opt, c.scheduleFedcons)
-	}
-	return c.scheduleFedcons(sys, m, opt)
+	return core.ScheduleWith(sys, m, opt, c.sizer)
 }
 
-// scheduleFedcons runs FEDCONS(τ, m) with Phase-1 MINPROCS results drawn from
-// the memo cache. It is a drop-in replacement for core.Schedule: for any system,
-// platform and options it returns an identical allocation (same processor
-// numbering, same templates) or an identical *core.FailureError — the memo
-// only removes redundant list-scheduling work, never changes the answer.
-// The differential test in incremental_test.go pins this equivalence.
+// sizer is the strict shape's Phase-1 step over the memo. It replays μ*
+// when μ* ≤ m_r, which reproduces the bounded scan: the scan visits
+// μ = ⌈δ⌉, ⌈δ⌉+1, … in an order independent of m_r, so the bounded result
+// is μ* exactly when μ* ≤ m_r and FAILURE otherwise.
 //
-// When opt.Trace is set the same span taxonomy as core.Schedule is emitted
-// (fedcons → phase1 → per-task spans → phase2 → place/fit spans), with one
-// addition: each high-density task span carries a "cache" attr ("hit" or
-// "miss"); hits replay μ* without re-running LS, so a hit span has no "mu"
-// candidate children.
-//
-// When opt.Par > 1 the Phase-1 analyses of cache-missing high-density tasks
-// run on a worker pool (prewarmPhase1) before the merge loop; allocation,
-// verdict and hit/miss accounting are identical to the sequential path (the
-// batch differential test pins this), with one trace caveat: a miss analyzed
-// in the pool records no per-μ "mu" children, because the scan ran off-trace.
-func (c *AnalysisCache) scheduleFedcons(sys task.System, m int, opt core.Options) (*core.Allocation, error) {
-	if err := sys.Validate(); err != nil {
-		return nil, err
-	}
-	if m < 1 {
-		return nil, fmt.Errorf("fedcons: m must be ≥ 1, got %d", m)
-	}
-	if opt.Par < 0 {
-		return nil, fmt.Errorf("fedcons: par must be ≥ 0, got %d", opt.Par)
-	}
+// With opt.Par > 1 the memo lookups and misses' analyses run first on the
+// hash-grouped prewarmPhase1 pool, in place of core's LS prefetch. Traced
+// task spans match core.Schedule's apart from a "cache" attr ("hit" or
+// "miss"); a hit replays μ* without LS, so its span has no "mu" candidate
+// children, and neither has a miss analyzed in the pool, which ran off-trace.
+func (c *AnalysisCache) sizer(sys task.System, opt core.Options) core.SizeFunc {
 	var pre map[*task.DAGTask]prewarmed
 	if opt.Par > 1 {
 		pre = c.prewarmPhase1(sys, opt, opt.Par)
 	}
-
-	alloc := &core.Allocation{M: m}
-	nextProc := 0
-	mr := m
-
-	root := opt.Trace.Start("fedcons")
-	if root != nil {
-		root.Int("m", int64(m)).Int("tasks", int64(len(sys))).
-			Str("minprocs", opt.Minprocs.String())
-	}
-
-	// Phase 1: size and place each high-density task (paper Fig. 2 lines
-	// 2–6), replaying μ* from the cache. μ* ≤ m_r reproduces the bounded
-	// scan: the scan visits μ = ⌈δ⌉, ⌈δ⌉+1, … in an order independent of
-	// m_r, so the bounded result is μ* exactly when μ* ≤ m_r and FAILURE
-	// otherwise.
-	phase1 := root.Child("phase1")
-	var low task.System
-	for i, tk := range sys {
-		var tsp *obs.Span
-		if phase1 != nil {
-			vol, l, d := tk.Volume(), tk.Len(), taskWindow(tk)
-			tsp = phase1.Child("task").Str("task", tk.Name).Int("index", int64(i)).
-				Int("vol", int64(vol)).Int("len", int64(l)).Int("window", int64(d)).
-				Float("density", float64(vol)/float64(d)).Bool("high", tk.HighDensity())
+	return func(_ int, tk *task.DAGTask, mr int, sp *obs.Span) (core.Grant, bool) {
+		p, warmed := pre[tk]
+		if !warmed {
+			p.res, p.hit = c.minprocsTraced(tk, opt, mr, sp)
 		}
-		if !tk.HighDensity() {
-			tsp.Finish()
-			low = append(low, tk)
-			alloc.LowIndices = append(alloc.LowIndices, i)
-			continue
-		}
-		res, hit := phase1Result{}, false
-		if p, warmed := pre[tk]; warmed {
-			res, hit = p.res, p.hit
-		} else {
-			res, hit = c.minprocsTraced(tk, opt, tsp)
-		}
-		if tsp != nil {
-			if hit {
-				tsp.Str("cache", "hit")
+		if sp != nil {
+			if p.hit {
+				sp.Str("cache", "hit")
 			} else {
-				tsp.Str("cache", "miss")
+				sp.Str("cache", "miss")
 			}
 		}
-		if !res.feasible || res.mu > mr {
-			tsp.Bool("failed", true).Finish()
-			phase1.Finish()
-			root.Bool("schedulable", false).Str("phase", core.PhaseHighDensity.String()).Finish()
-			return nil, &core.FailureError{Phase: core.PhaseHighDensity, TaskIndex: i, TaskName: tk.Name, Remaining: mr}
+		if !p.res.feasible || p.res.mu > mr {
+			return core.Grant{}, false
 		}
-		tsp.Int("mu", int64(res.mu)).Finish()
-		procs := make([]int, res.mu)
-		for p := range procs {
-			procs[p] = nextProc
-			nextProc++
-		}
-		alloc.High = append(alloc.High, core.HighAssignment{TaskIndex: i, Procs: procs, Template: res.tmpl})
-		mr -= res.mu
+		sp.Int("mu", int64(p.res.mu))
+		return core.Grant{Procs: p.res.mu, Template: p.res.tmpl}, true
 	}
-	phase1.Int("dedicated", int64(nextProc)).Int("remaining", int64(mr)).Finish()
-
-	// Phase 2: partition the low-density tasks (Fig. 2 line 7). This is the
-	// cheap phase; it is recomputed in full on every admission because the
-	// first-fit packing of any task depends on every other low task.
-	for p := 0; p < mr; p++ {
-		alloc.SharedProcs = append(alloc.SharedProcs, nextProc+p)
-	}
-	phase2 := root.Child("phase2")
-	if phase2 != nil {
-		phase2.Int("procs", int64(mr)).Int("low", int64(len(low))).
-			Str("heuristic", opt.Partition.Heuristic.String()).
-			Str("test", opt.Partition.Test.String())
-	}
-	popt := opt.Partition
-	popt.Trace = phase2
-	res, err := partition.Partition(low, mr, popt)
-	if err != nil {
-		fe := &core.FailureError{Phase: core.PhaseLowDensity, Remaining: mr, Err: err}
-		var pf *partition.FailureError
-		if errors.As(err, &pf) {
-			fe.TaskIndex = alloc.LowIndices[pf.TaskIndex]
-			fe.TaskName = pf.TaskName
-		}
-		phase2.Bool("failed", true).Finish()
-		root.Bool("schedulable", false).Str("phase", core.PhaseLowDensity.String()).Finish()
-		return nil, fe
-	}
-	phase2.Finish()
-	root.Bool("schedulable", true).Finish()
-	alloc.Low = res
-	return alloc, nil
-}
-
-// taskWindow mirrors core's min(D, T) dag-job scheduling window.
-func taskWindow(tk *task.DAGTask) task.Time {
-	if tk.T < tk.D {
-		return tk.T
-	}
-	return tk.D
 }

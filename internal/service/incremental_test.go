@@ -3,12 +3,14 @@ package service
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fedsched/internal/core"
 	"fedsched/internal/dag"
 	"fedsched/internal/gen"
 	"fedsched/internal/listsched"
+	"fedsched/internal/obs"
 	"fedsched/internal/partition"
 	"fedsched/internal/task"
 )
@@ -37,6 +39,8 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 		{Minprocs: core.Analytic},
 		{Priority: listsched.LongestPathFirst},
 		{Partition: partition.Options{Heuristic: partition.BestFit, Test: partition.ExactEDF}},
+		{Policy: core.PolicySemi},
+		{Policy: core.PolicyReservation},
 	}
 	for seed := int64(1); seed <= 20; seed++ {
 		sys := genSystem(t, seed, 2+int(seed%6), 0.5+float64(seed%5))
@@ -68,6 +72,57 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMissTraceMatchesBatch pins the decision trace of a cache miss: with a
+// fresh cache every high-density task misses, and its task span must equal
+// core.Schedule's for the same input — the true m_r, scan limit, μ
+// candidates and failure reason — apart from the added "cache" attribute.
+func TestMissTraceMatchesBatch(t *testing.T) {
+	differ := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		sys := genSystem(t, seed, 2+int(seed%6), 0.5+float64(seed%5))
+		for _, mode := range []core.MinprocsMode{core.LSScan, core.Analytic} {
+			for m := 1; m <= 10; m += 3 {
+				want, got := obs.New(obs.DefaultLimits), obs.New(obs.DefaultLimits)
+				core.Schedule(sys, m, core.Options{Minprocs: mode, Trace: want})
+				NewAnalysisCache().Schedule(sys, m, core.Options{Minprocs: mode, Trace: got})
+				ws, gs := want.FindAll("task"), got.FindAll("task")
+				if len(ws) != len(gs) {
+					t.Fatalf("seed %d %v m=%d: %d task spans, batch has %d", seed, mode, m, len(gs), len(ws))
+				}
+				for i := range ws {
+					if c, ok := gs[i].Lookup("cache"); ok && c.Str() != "miss" {
+						continue // a twin-content hit replays μ* without a scan
+					}
+					if w, g := spanString(ws[i]), spanString(gs[i]); w != g {
+						differ++
+						if differ <= 3 {
+							t.Errorf("seed %d %v m=%d task %d:\nbatch: %s\ncache: %s", seed, mode, m, i, w, g)
+						}
+					}
+				}
+			}
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("%d cache-miss task spans differ from core.Schedule's", differ)
+	}
+}
+
+// spanString renders a span subtree without its "cache" attribute.
+func spanString(s *obs.Span) string {
+	var b strings.Builder
+	b.WriteString(s.Name() + "{")
+	for _, a := range s.Attrs() {
+		if a.Key != "cache" {
+			b.WriteString(a.String() + " ")
+		}
+	}
+	for _, c := range s.Children() {
+		b.WriteString(spanString(c))
+	}
+	return b.String() + "}"
 }
 
 // TestCacheSharesAcrossIdenticalContent checks that two same-structure tasks

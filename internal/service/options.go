@@ -58,18 +58,14 @@ func ParseOptions(minprocs, prio, heuristic, admission string) (core.Options, er
 
 // ParsePolicy maps the -policy flag vocabulary shared by the cmds onto the
 // normalized core.Options.Policy value: "" for the strict default, the policy
-// name otherwise. The vocabulary is static — the registry's contents never
-// widen what the flags accept — so an unknown value fails identically whether
-// or not a policy package was linked in.
+// name otherwise. The vocabulary is the core policy registry, which this
+// package's imports populate with every policy.
 func ParsePolicy(name string) (string, error) {
-	switch name {
-	case "", "fedcons":
-		return "", nil
-	case core.PolicySemi, core.PolicyReservation, core.PolicyTyped:
-		return name, nil
-	default:
-		return "", fmt.Errorf("unknown -policy %q (want fedcons, semi, reservation or typed)", name)
+	p, err := core.NormalizePolicy(name)
+	if err != nil {
+		return "", fmt.Errorf("unknown -policy %q (want %s)", name, strings.Join(append([]string{core.PolicyFedcons}, core.PolicyNames()...), ", "))
 	}
+	return p, nil
 }
 
 // ParseMTypes maps the -m-types flag vocabulary ("a:4,b:2") onto the
