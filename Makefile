@@ -114,7 +114,7 @@ policy-race:
 typed-race:
 	$(GO) test -race -run 'TestRunTyped|TestTypedProcBase|TestValidateTyped' ./internal/listsched/
 	$(GO) test -race -run 'TestMinprocsTyped|TestTaskHashTypeSensitivity|TestAdmitRemoveLowMatchesScheduleTyped' ./internal/core/
-	$(GO) test -race -run 'TestWarmPathByteIdenticalToFullRepartition|TestServiceStateRandomWalk|TestWarmPathActuallyTaken/typed' ./internal/service/
+	$(GO) test -race -run 'TestWarmPathByteIdenticalToFullRepartition|TestServiceStateRandomWalk|TestWarmPathActuallyTaken' ./internal/service/
 	$(GO) test -race -run 'TestOracleTyped' ./internal/sim/
 	$(GO) test -race -run 'TestTyped' ./cmd/fedsched/ ./cmd/fedschedd/ ./cmd/analyze/
 	$(GO) test -race -run 'TestE23' ./internal/exp/

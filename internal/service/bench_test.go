@@ -158,8 +158,8 @@ func BenchmarkRemove(b *testing.B) {
 }
 
 // BenchmarkAdmitBatch measures the analysis core of POST /v1/admit/batch — a
-// full FEDCONS run through the AnalysisCache, exactly what doAdmitBatch
-// executes inside the writer loop — in the three regimes that matter:
+// full FEDCONS run through the AnalysisCache, exactly what the writer loop's
+// commit runs for a batch — in the three regimes that matter:
 //
 //   - cold-seq: empty cache, sequential Phase 1 (Par = 1);
 //   - cold-par: empty cache, Phase-1 scans fanned out on the worker pool —

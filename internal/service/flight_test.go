@@ -177,3 +177,50 @@ func TestFlightRingBounded(t *testing.T) {
 		t.Fatal("newest entry not findable")
 	}
 }
+
+// TestFlightRecorderDuplicateHasNoTrace: a duplicate-name refusal, single or
+// batch, is decided before any analysis runs, so even under ?trace=1 its
+// retained entry carries no span tree and lists has_trace false.
+func TestFlightRecorderDuplicateHasNoTrace(t *testing.T) {
+	_, ts := newTestServer(t, Config{M: 4, FlightSampleEvery: -1})
+	c := ts.Client()
+
+	if st, _, _ := doJSON(t, c, http.MethodPost, ts.URL+"/v1/admit", admitBody(t, example1Task("dup"))); st != http.StatusOK {
+		t.Fatalf("seed admit: %d", st)
+	}
+	refusals := []struct {
+		path string
+		body []byte
+	}{
+		{"/v1/admit?trace=1", admitBody(t, example1Task("dup"))},
+		{"/v1/admit/batch?trace=1", batchBody(t, example1Task("dup"))},
+	}
+	for _, r := range refusals {
+		status, body, hdr := doJSON(t, c, http.MethodPost, ts.URL+r.path, r.body)
+		if status != http.StatusConflict {
+			t.Fatalf("%s: got %d %s, want a duplicate-name 409", r.path, status, body)
+		}
+		_, got, _ := doJSON(t, c, http.MethodGet, ts.URL+"/debug/traces/"+hdr.Get("X-Trace-Id"), nil)
+		var entry FlightEntry
+		if err := json.Unmarshal(got, &entry); err != nil {
+			t.Fatalf("%s: %v: %s", r.path, err, got)
+		}
+		if entry.Task != "dup" || entry.Status != http.StatusConflict || len(entry.Trace) != 0 {
+			t.Fatalf("%s: retained entry %+v with trace %s, want a trace-less 409", r.path, entry, entry.Trace)
+		}
+	}
+	_, list, _ := doJSON(t, c, http.MethodGet, ts.URL+"/debug/traces", nil)
+	lines := strings.Split(strings.TrimSpace(string(list)), "\n")
+	if len(lines) != len(refusals) {
+		t.Fatalf("retained %d entries, want the %d refusals:\n%s", len(lines), len(refusals), list)
+	}
+	for _, line := range lines {
+		var sum flightSummary
+		if err := json.Unmarshal([]byte(line), &sum); err != nil {
+			t.Fatal(err)
+		}
+		if sum.HasTrace {
+			t.Fatalf("duplicate refusal lists has_trace: %s", line)
+		}
+	}
+}

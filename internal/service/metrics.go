@@ -23,7 +23,7 @@ type metrics struct {
 	removes    expvar.Int // tasks removed
 	shed       expvar.Int // requests dropped by queue-bound load shedding
 	timeouts   expvar.Int // requests whose deadline expired before analysis
-	errors     expvar.Int // malformed requests (decode/validation failures)
+	errors     expvar.Int // malformed requests, duplicate names, failed removals (404/409), audit/WAL/snapshot failures
 	walAppends expvar.Int // mutation records fsynced to the write-ahead log
 	snapshots  expvar.Int // snapshots written (each truncates the WAL)
 	latency    obs.Histogram

@@ -33,12 +33,11 @@ type Config struct {
 	// requests. Default 2s.
 	AdmitTimeout time.Duration
 	// FullRepartition disables the incremental Phase-2 warm path: every
-	// mutation re-runs the full (memo-backed) FEDCONS analysis, as before
-	// PR 7. The default (false) serves untraced single low-density
-	// admissions and removals from the shard's live partition.State —
-	// byte-identical output, pinned by the warm-path differential tests —
-	// and exists as a debugging escape hatch and as the oracle
-	// configuration those tests compare against.
+	// mutation re-runs the full (memo-backed) FEDCONS analysis. The default
+	// (false) serves untraced single low-density admissions and removals
+	// from the shard's live partition state — byte-identical output, pinned
+	// by the warm-path differential tests. No daemon flag sets it: it is the
+	// oracle configuration those tests compare against.
 	FullRepartition bool
 	// Observer, when non-nil, is called synchronously from a shard's writer
 	// loop after every completed admit/remove with that operation's summary

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -300,7 +301,7 @@ func (s *Shard) nextTraceID() string {
 // and installs it only if both succeed. The returned status is the HTTP
 // status the daemon would serve: 200 installed, 409 rejected by the
 // analysis (body = Verdict with the failure reason) or duplicate name,
-// 429 shed, 504 deadline expired, 500 audit failure (state unchanged).
+// 429 shed, 504 deadline expired, 500 audit or WAL failure (state unchanged).
 func (s *Shard) Admit(ctx context.Context, tk *task.DAGTask) (int, []byte) {
 	return s.AdmitTrace(ctx, tk, s.nextTraceID(), nil)
 }
@@ -311,38 +312,49 @@ func (s *Shard) Admit(ctx context.Context, tk *task.DAGTask) (int, []byte) {
 // into it and embedded in the Verdict's "trace" field — the daemon's
 // ?trace=1 admit mode.
 func (s *Shard) AdmitTrace(ctx context.Context, tk *task.DAGTask, traceID string, rec *obs.Recorder) (int, []byte) {
-	return s.admitOp(ctx, tk, traceID, rec, "")
-}
-
-// admitOp is AdmitTrace with the request's cluster name, threaded into the
-// WAL record and the flight recorder.
-func (s *Shard) admitOp(ctx context.Context, tk *task.DAGTask, traceID string, rec *obs.Recorder, cluster string) (int, []byte) {
-	meta := mutMeta{trace: traceID, cluster: cluster}
-	res := s.submit(ctx, "admit", traceID, func() opResult {
-		return s.observed(traceID, "admit", tk.Name, func() opResult { return s.doAdmit(tk, rec, meta) })
-	})
+	res := s.admitOp(ctx, "admit", []*task.DAGTask{tk}, traceID, rec, "")
 	return res.status, res.body
 }
 
+// admitOp queues an admission of tks — op "admit" for a single task,
+// "admit-batch" for an atomic batch — with the request's trace ID, recorder
+// and cluster name, the last two threaded into the WAL record and the flight
+// recorder.
+func (s *Shard) admitOp(ctx context.Context, op string, tks []*task.DAGTask, traceID string, rec *obs.Recorder, cluster string) opResult {
+	label := tks[0].Name
+	if op == "admit-batch" {
+		names := make([]string, len(tks))
+		for i, tk := range tks {
+			names[i] = tk.Name
+		}
+		label = strings.Join(names, ",")
+	}
+	meta := mutMeta{trace: traceID, cluster: cluster}
+	return s.submit(ctx, op, traceID, func() opResult {
+		return s.observed(traceID, op, label, func() opResult { return s.doAdmit(op, label, tks, rec, meta) })
+	})
+}
+
 // Remove removes the named task, re-analyzes and installs the shrunken
-// system. Status: 200 removed, 404 unknown name, plus the same 429/504
-// envelope as Admit.
+// system. Status: 200 removed, 404 unknown name, 409 the shrunken system is
+// unschedulable, 500 audit or WAL failure, plus the same 429/504 envelope as
+// Admit.
 func (s *Shard) Remove(ctx context.Context, name string) (int, []byte) {
 	return s.RemoveTrace(ctx, name, s.nextTraceID())
 }
 
 // RemoveTrace is Remove with an explicit trace ID.
 func (s *Shard) RemoveTrace(ctx context.Context, name, traceID string) (int, []byte) {
-	return s.removeOp(ctx, name, traceID, "")
+	res := s.removeOp(ctx, name, traceID, "")
+	return res.status, res.body
 }
 
 // removeOp is RemoveTrace with the request's cluster name.
-func (s *Shard) removeOp(ctx context.Context, name, traceID, cluster string) (int, []byte) {
+func (s *Shard) removeOp(ctx context.Context, name, traceID, cluster string) opResult {
 	meta := mutMeta{trace: traceID, cluster: cluster}
-	res := s.submit(ctx, "remove", traceID, func() opResult {
+	return s.submit(ctx, "remove", traceID, func() opResult {
 		return s.observed(traceID, "remove", name, func() opResult { return s.doRemove(name, meta) })
 	})
-	return res.status, res.body
 }
 
 // observed runs one mutation inside the writer loop, timing it into the
@@ -382,36 +394,6 @@ func (s *Shard) observed(traceID, op, taskName string, run func() opResult) opRe
 		})
 	}
 	return res
-}
-
-// persistAdmit makes an accepted admission durable before it is installed.
-// A durability failure refuses the admission (500, state unchanged): the
-// shard never acknowledges state it could lose.
-func (s *Shard) persistAdmit(tks []*task.DAGTask, hashes []string, meta mutMeta) *opResult {
-	if s.store == nil {
-		return nil
-	}
-	if err := s.store.LogAdmit(tks, hashes, meta.trace, meta.cluster); err != nil {
-		s.met.errors.Add(1)
-		res := errResult(http.StatusInternalServerError, "write-ahead log append failed: "+err.Error())
-		return &res
-	}
-	s.met.walAppends.Add(1)
-	return nil
-}
-
-// persistRemove is persistAdmit's removal twin.
-func (s *Shard) persistRemove(name string, meta mutMeta) *opResult {
-	if s.store == nil {
-		return nil
-	}
-	if err := s.store.LogRemove(name, meta.trace, meta.cluster); err != nil {
-		s.met.errors.Add(1)
-		res := errResult(http.StatusInternalServerError, "write-ahead log append failed: "+err.Error())
-		return &res
-	}
-	s.met.walAppends.Add(1)
-	return nil
 }
 
 // maybeSnapshot checkpoints after an installed mutation. The mutation is
@@ -474,116 +456,196 @@ func (s *Shard) noteFlight(res opResult, meta mutMeta, op, taskName string, samp
 	return res
 }
 
-// doAdmit runs inside the writer loop: it is the only writer, so reading
-// s.sys without the lock is safe, and the lock is taken only to install.
-func (s *Shard) doAdmit(tk *task.DAGTask, rec *obs.Recorder, meta mutMeta) opResult {
-	for _, cur := range s.sys {
-		if cur.Name == tk.Name {
-			s.met.errors.Add(1)
-			res := errResult(http.StatusConflict, fmt.Sprintf("task %q already admitted; remove it first", tk.Name))
-			return s.noteFlight(res, meta, "admit", tk.Name, false, traceBytes(rec))
+// indexOf returns the position of the task called name in tks, or -1.
+func indexOf(tks []*task.DAGTask, name string) int {
+	for i, tk := range tks {
+		if tk.Name == name {
+			return i
 		}
 	}
-	if res, ok := s.fastAdmit(tk, rec, meta); ok {
-		return res
-	}
-	srec, sampled := s.speculate(rec)
-	trial := append(s.sys.Clone(), tk)
-	opt := s.cfg.Options
-	opt.Trace = srec
-	alloc, err := s.cache.Schedule(trial, s.cfg.M, opt)
-	if err != nil {
-		s.met.rejects.Add(1)
-		v := NewVerdict(trial, s.cfg.M, nil, err)
-		trace := traceBytes(srec)
-		if rec != nil {
-			v.Trace = trace
-		}
-		// Every rejection is retained — explaining "why not" after the fact
-		// is the recorder's reason to exist.
-		return s.noteFlight(verdictResult(http.StatusConflict, v), meta, "admit", tk.Name, sampled, trace)
-	}
-	if err := core.Verify(trial, s.cfg.M, alloc); err != nil {
-		// The audit is the last line of defense: never install an
-		// allocation the independent checker rejects.
-		res := errResult(http.StatusInternalServerError, "allocation failed verification: "+err.Error())
-		return s.noteFlight(res, meta, "admit", tk.Name, sampled, traceBytes(srec))
-	}
-	hash := s.cache.hashOf(tk).String()
-	if res := s.persistAdmit([]*task.DAGTask{tk}, []string{hash}, meta); res != nil {
-		return *res
-	}
-	s.install(trial, alloc, append(append([]string(nil), s.sysHashes...), hash))
-	s.syncPartitionState()
-	s.met.admits.Add(1)
-	s.maybeSnapshot()
-	v := NewVerdict(trial, s.cfg.M, alloc, nil)
-	trace := traceBytes(srec)
-	if rec != nil {
-		v.Trace = trace
-	}
-	res := verdictResult(http.StatusOK, v)
-	if sampled || rec != nil {
-		// Admits are retained only when traced (client-requested or sampled);
-		// retaining every warm admit would evict the interesting entries.
-		res = s.noteFlight(res, meta, "admit", tk.Name, sampled, trace)
-	}
-	return res
+	return -1
 }
 
-func (s *Shard) doRemove(name string, meta mutMeta) opResult {
-	idx := -1
-	for i, cur := range s.sys {
-		if cur.Name == name {
-			idx = i
-			break
+// doAdmit refuses an admission whose names clash — with an installed task
+// or within the batch — before any analysis, so the refusal carries no
+// trace; otherwise it commits the system plus tks. Only an untraced single
+// admit may take the warm step. Writer-loop only.
+func (s *Shard) doAdmit(op, label string, tks []*task.DAGTask, rec *obs.Recorder, meta mutMeta) opResult {
+	for i, tk := range tks {
+		var msg string
+		switch {
+		case indexOf(s.sys, tk.Name) >= 0:
+			msg = fmt.Sprintf("task %q already admitted; remove it first", tk.Name)
+		case indexOf(tks[:i], tk.Name) >= 0:
+			msg = fmt.Sprintf("task %q appears twice in the batch", tk.Name)
+		default:
+			continue
 		}
+		s.met.errors.Add(1)
+		return s.noteFlight(errResult(http.StatusConflict, msg), meta, op, label, false, nil)
 	}
+	trial := make(task.System, 0, len(s.sys)+len(tks))
+	trial = append(append(trial, s.sys...), tks...)
+	return s.commit(mutation{op: op, label: label, meta: meta, trial: trial, tks: tks, rec: rec,
+		warm: op == "admit" && rec == nil && s.warmFor(tks[0])})
+}
+
+// doRemove refuses an unknown name (404, not retained); otherwise it commits
+// the system without the task. Removing the last task installs the empty
+// system with no analysis. Writer-loop only.
+func (s *Shard) doRemove(name string, meta mutMeta) opResult {
+	idx := indexOf(s.sys, name)
 	if idx < 0 {
 		s.met.errors.Add(1)
 		return errResult(http.StatusNotFound, fmt.Sprintf("no task named %q", name))
 	}
-	trial := make(task.System, 0, len(s.sys)-1)
-	trial = append(trial, s.sys[:idx]...)
-	trial = append(trial, s.sys[idx+1:]...)
-	hashes := make([]string, 0, len(s.sysHashes))
-	hashes = append(hashes, s.sysHashes[:idx]...)
-	if idx < len(s.sysHashes) {
-		hashes = append(hashes, s.sysHashes[idx+1:]...)
+	mu := mutation{op: "remove", label: name, meta: meta, idx: idx}
+	if len(s.sys) > 1 {
+		mu.trial = append(append(make(task.System, 0, len(s.sys)-1), s.sys[:idx]...), s.sys[idx+1:]...)
+		mu.hashes = append(append(make([]string, 0, len(s.sys)-1), s.sysHashes[:idx]...), s.sysHashes[idx+1:]...)
+		mu.warm = s.warmFor(s.sys[idx])
 	}
-	if len(trial) == 0 {
-		if res := s.persistRemove(name, meta); res != nil {
-			return *res
+	return s.commit(mu)
+}
+
+// mutation is one state change for commit to analyse, audit, log and
+// install.
+type mutation struct {
+	op, label string // "admit", "admit-batch" or "remove"; the task name(s)
+	meta      mutMeta
+	trial     task.System     // the system to install; nil when a remove empties the shard
+	tks       []*task.DAGTask // admits: the tasks appended to the system
+	idx       int             // remove: the departing task's index in s.sys
+	hashes    []string        // remove: the trial system's task hashes
+	rec       *obs.Recorder   // the client's ?trace=1 recorder, if any
+	warm      bool            // try the warm step (LowState.Admit/Remove) first
+}
+
+// commit is the one sequence every admit, batch and remove runs, warm or
+// full: analyse the trial system (the warm step, or the memoized full
+// analysis under the speculated recorder) → audit it (core.VerifyDelta
+// after the warm step, core.Verify otherwise) → append it to the WAL →
+// install → count → maybeSnapshot → verdict → flight entry. Writer-loop
+// only: as the sole writer it reads s.sys without the lock and takes the
+// lock only to install.
+func (s *Shard) commit(mu mutation) opResult {
+	remove := mu.op == "remove"
+	var (
+		alloc   *core.Allocation
+		err     error
+		srec    *obs.Recorder
+		sampled bool
+	)
+	if mu.warm {
+		if remove {
+			alloc, err = s.pstate.Remove(s.alloc, mu.idx)
+		} else {
+			alloc, err = s.pstate.Admit(s.alloc, mu.tks[0])
 		}
-		s.install(nil, nil, nil)
-		s.syncPartitionState()
-		s.met.removes.Add(1)
-		s.maybeSnapshot()
-		return verdictResult(http.StatusOK, NewVerdict(nil, s.cfg.M, nil, nil))
+		// A split shape retries strict FEDCONS after a Phase-2 failure, and
+		// only the full analysis does that; strict and typed warm failures
+		// are final.
+		mu.warm = err == nil || !core.RetriesStrict(s.alloc.Policy)
 	}
-	if res, ok := s.fastRemove(name, idx, trial, hashes, meta); ok {
-		return res
+	if !mu.warm && mu.trial != nil {
+		if !remove {
+			srec, sampled = s.speculate(mu.rec)
+		}
+		opt := s.cfg.Options
+		opt.Trace = srec
+		alloc, err = s.cache.Schedule(mu.trial, s.cfg.M, opt)
 	}
-	alloc, err := s.cache.Schedule(trial, s.cfg.M, s.cfg.Options)
+	trace := traceBytes(srec)
 	if err != nil {
-		// Removing a task can, in principle, perturb the deadline-ordered
-		// first-fit packing enough to fail; keep the (verified) old state
-		// rather than install nothing.
+		var res opResult
+		if remove {
+			// Removing a task can, in principle, perturb the deadline-ordered
+			// first-fit packing enough to fail; keep the verified old state.
+			s.met.errors.Add(1)
+			res = errResult(http.StatusConflict, fmt.Sprintf("system unschedulable after removing %q: %v", mu.label, err))
+		} else {
+			// A batch is all-or-nothing: one infeasible combination rejects it.
+			s.met.rejects.Add(1)
+			v := NewVerdict(mu.trial, s.cfg.M, nil, err)
+			if mu.rec != nil {
+				v.Trace = trace
+			}
+			res = verdictResult(http.StatusConflict, v)
+		}
+		// Every refusal is retained — explaining "why not" after the fact is
+		// the recorder's reason to exist. A warm refusal carries no span tree
+		// (the incremental test is not the traced code path), only its
+		// metadata.
+		return s.noteFlight(res, mu.meta, mu.op, mu.label, sampled, trace)
+	}
+	fail := func(msg string) opResult {
+		if mu.warm {
+			// The warm step already committed the mutation to pstate:
+			// re-derive it from the unchanged installed allocation.
+			s.syncPartitionState()
+		}
 		s.met.errors.Add(1)
-		res := errResult(http.StatusConflict, fmt.Sprintf("system unschedulable after removing %q: %v", name, err))
-		return s.noteFlight(res, meta, "remove", name, false, nil)
+		return s.noteFlight(errResult(http.StatusInternalServerError, msg), mu.meta, mu.op, mu.label, sampled, trace)
 	}
-	if err := core.Verify(trial, s.cfg.M, alloc); err != nil {
-		return errResult(http.StatusInternalServerError, "allocation failed verification: "+err.Error())
+	if mu.trial != nil {
+		if mu.warm {
+			err = core.VerifyDelta(mu.trial, s.cfg.M, alloc, s.sys, s.alloc)
+		} else {
+			err = core.Verify(mu.trial, s.cfg.M, alloc)
+		}
+		if err != nil {
+			// The audit is the last line of defense: never install an
+			// allocation the independent checker rejects.
+			return fail("allocation failed verification: " + err.Error())
+		}
 	}
-	if res := s.persistRemove(name, meta); res != nil {
-		return *res
+	hashes := mu.hashes
+	if !remove {
+		// Hashed only now, so a refusal does no hashing work.
+		hashes = append(make([]string, 0, len(mu.trial)), s.sysHashes...)
+		for _, tk := range mu.tks {
+			hashes = append(hashes, s.cache.hashOf(tk).String())
+		}
 	}
-	s.install(trial, alloc, hashes)
-	s.syncPartitionState()
-	s.met.removes.Add(1)
+	if s.store != nil {
+		// Durable before installed: the shard never acknowledges state it
+		// could lose. A batch is one record, so replay is as atomic as
+		// admission.
+		if remove {
+			err = s.store.LogRemove(mu.label, mu.meta.trace, mu.meta.cluster)
+		} else {
+			err = s.store.LogAdmit(mu.tks, hashes[len(s.sysHashes):], mu.meta.trace, mu.meta.cluster)
+		}
+		if err != nil {
+			return fail("write-ahead log append failed: " + err.Error())
+		}
+		s.met.walAppends.Add(1)
+	}
+	s.install(mu.trial, alloc, hashes)
+	if !mu.warm {
+		s.syncPartitionState()
+	}
+	if remove {
+		s.met.removes.Add(1)
+	} else {
+		s.met.admits.Add(int64(len(mu.tks)))
+	}
+	if mu.op == "admit-batch" {
+		s.met.batches.Add(1)
+	}
 	s.maybeSnapshot()
-	return verdictResult(http.StatusOK, NewVerdict(trial, s.cfg.M, alloc, nil))
+	v := NewVerdict(mu.trial, s.cfg.M, alloc, nil)
+	if mu.rec != nil {
+		v.Trace = trace
+	}
+	res := verdictResult(http.StatusOK, v)
+	if sampled || mu.rec != nil {
+		// Installs are retained only when traced (client-requested or
+		// sampled); retaining every warm admit would evict the interesting
+		// entries.
+		res = s.noteFlight(res, mu.meta, mu.op, mu.label, sampled, trace)
+	}
+	return res
 }
 
 func (s *Shard) install(sys task.System, alloc *core.Allocation, hashes []string) {
@@ -594,18 +656,29 @@ func (s *Shard) install(sys task.System, alloc *core.Allocation, hashes []string
 }
 
 func (s *Shard) handleAdmit(w http.ResponseWriter, r *http.Request) {
+	s.serveAdmit(w, r, "admit", func() ([]*task.DAGTask, string) {
+		var tk task.DAGTask
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&tk); err != nil {
+			return nil, "decoding task: " + err.Error()
+		}
+		if tk.Name == "" {
+			return nil, "task must carry a unique name"
+		}
+		return []*task.DAGTask{&tk}, ""
+	})
+}
+
+// serveAdmit is the admit handlers' shared body: it mints the trace ID,
+// decodes and validates the request with decode (a non-empty message is a
+// 400), honours ?trace=1, and runs op under the admission deadline for the
+// request's cluster.
+func (s *Shard) serveAdmit(w http.ResponseWriter, r *http.Request, op string, decode func() ([]*task.DAGTask, string)) {
 	traceID := s.nextTraceID()
 	w.Header().Set("X-Trace-Id", traceID)
-	var tk task.DAGTask
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&tk); err != nil {
+	tks, msg := decode()
+	if msg != "" {
 		s.met.errors.Add(1)
-		writeJSON(w, errResult(http.StatusBadRequest, "decoding task: "+err.Error()))
-		return
-	}
-	if tk.Name == "" {
-		s.met.errors.Add(1)
-		writeJSON(w, errResult(http.StatusBadRequest, "task must carry a unique name"))
+		writeJSON(w, errResult(http.StatusBadRequest, msg))
 		return
 	}
 	var rec *obs.Recorder
@@ -614,8 +687,7 @@ func (s *Shard) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.AdmitTimeout)
 	defer cancel()
-	status, respBody := s.admitOp(ctx, &tk, traceID, rec, requestCluster(r))
-	writeJSON(w, opResult{status: status, body: respBody})
+	writeJSON(w, s.admitOp(ctx, op, tks, traceID, rec, requestCluster(r)))
 }
 
 func (s *Shard) handleRemove(w http.ResponseWriter, r *http.Request) {
@@ -623,8 +695,7 @@ func (s *Shard) handleRemove(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Trace-Id", traceID)
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.AdmitTimeout)
 	defer cancel()
-	status, body := s.removeOp(ctx, r.PathValue("name"), traceID, requestCluster(r))
-	writeJSON(w, opResult{status: status, body: body})
+	writeJSON(w, s.removeOp(ctx, r.PathValue("name"), traceID, requestCluster(r)))
 }
 
 // requestCluster re-derives the cluster name a routed request addressed —
