@@ -3,19 +3,24 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-short test-race cover bench bench-test fuzz fuzz-smoke oracle-race par-race shard-race partition-race policy-race typed-race serve-smoke obs-smoke policy-bench perf-gate perf-baseline experiments experiments-quick examples clean
+.PHONY: all check fmt-check build vet test test-short test-race cover bench bench-test fuzz fuzz-smoke oracle-race par-race shard-race partition-race policy-race typed-race serve-smoke obs-smoke policy-bench perf-gate perf-baseline experiments experiments-quick examples clean
 
 all: build vet test
 
-# What CI runs (.github/workflows/ci.yml): vet + build + race-enabled tests,
-# the differential oracle under the race detector, a fuzzing smoke pass, the
+# What CI runs (.github/workflows/ci.yml): a gofmt check, vet + build +
+# race-enabled tests, the differential oracle under the race detector, a
+# fuzzing smoke pass, the
 # shard/durability suite under the race detector, the admission-policy layer
 # under the race detector, the typed processor model under the race detector,
 # an end-to-end boot/admit/drain check of the fedschedd daemon, a smoke test
 # of its observability surface (/metrics, pprof, ?trace=1, flight recorder,
 # audit log), the admission benchmark's own module (bench-test), and the
 # continuous perf-regression gate over the pinned benchmark set.
-check: vet build test-race oracle-race par-race shard-race partition-race policy-race typed-race fuzz-smoke serve-smoke obs-smoke bench-test perf-gate
+check: fmt-check vet build test-race oracle-race par-race shard-race partition-race policy-race typed-race fuzz-smoke serve-smoke obs-smoke bench-test perf-gate
+
+# Fails when any Go file in the tree is not gofmt-formatted.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...
@@ -55,14 +60,21 @@ fuzz:
 	$(GO) test -fuzz=FuzzTaskHash -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzPartitionState -fuzztime=30s ./internal/partition/
 	$(GO) test -fuzz=FuzzDecodeFastPath -fuzztime=30s ./internal/task/
+	$(GO) test -fuzz=FuzzWALRecord -fuzztime=30s ./internal/store/
+	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime=30s ./internal/store/
+	$(GO) test -fuzz=FuzzRequestEnvelope -fuzztime=30s ./internal/service/
 
 # CI smoke pass over the property fuzz targets (30 s each), including the
-# differential check of the single-pass task codec against encoding/json.
+# differential checks of the single-pass codecs against encoding/json: the
+# task, the WAL record, the snapshot, and the admit and batch request bodies.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDBFStar -fuzztime=30s ./internal/dbf/
 	$(GO) test -fuzz=FuzzVerifyAllocation -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzPartitionState -fuzztime=30s ./internal/partition/
 	$(GO) test -fuzz=FuzzDecodeFastPath -fuzztime=30s ./internal/task/
+	$(GO) test -fuzz=FuzzWALRecord -fuzztime=30s ./internal/store/
+	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime=30s ./internal/store/
+	$(GO) test -fuzz=FuzzRequestEnvelope -fuzztime=30s ./internal/service/
 
 # The fast-vs-reference differential oracle under the race detector.
 oracle-race:

@@ -61,11 +61,11 @@ func TestExactFeasibleFastMatchesReference(t *testing.T) {
 func TestUtilizationCmpOneMatchesRat(t *testing.T) {
 	cases := [][]task.Sporadic{
 		{},
-		{{C: 1, D: 2, T: 2}, {C: 1, D: 2, T: 2}},                   // exactly 1
+		{{C: 1, D: 2, T: 2}, {C: 1, D: 2, T: 2}}, // exactly 1
 		{{C: 1, D: 3, T: 3}, {C: 1, D: 3, T: 3}, {C: 1, D: 3, T: 3}}, // exactly 1 via thirds
-		{{C: 2, D: 3, T: 3}, {C: 1, D: 2, T: 2}},                   // just over
-		{{C: 1, D: 7, T: 11}, {C: 3, D: 13, T: 17}},                // well under
-		{{C: 5, D: 5, T: 5}},                                       // single full task
+		{{C: 2, D: 3, T: 3}, {C: 1, D: 2, T: 2}},                     // just over
+		{{C: 1, D: 7, T: 11}, {C: 3, D: 13, T: 17}},                  // well under
+		{{C: 5, D: 5, T: 5}},                                         // single full task
 	}
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 2000; trial++ {

@@ -359,4 +359,3 @@ func (r *Recorder) FindAll(name string) []*Span {
 	})
 	return out
 }
-

@@ -2,8 +2,8 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 
 	"fedsched/internal/obs"
@@ -40,18 +40,18 @@ func (s *Shard) AdmitBatchTrace(ctx context.Context, tks []*task.DAGTask, traceI
 // schedulability checks run in the writer loop against a quiescent state.
 func (s *Shard) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 	s.serveAdmit(w, r, "admit-batch", func() ([]*task.DAGTask, string) {
-		var req BatchRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20)).Decode(&req); err != nil {
+		tks, err := decodeBatch(io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20)))
+		if err != nil {
 			return nil, "decoding batch: " + err.Error()
 		}
-		if len(req.Tasks) == 0 {
+		if len(tks) == 0 {
 			return nil, "batch must contain at least one task"
 		}
-		for i, tk := range req.Tasks {
+		for i, tk := range tks {
 			if tk == nil || tk.Name == "" {
 				return nil, fmt.Sprintf("batch task %d must carry a unique name", i)
 			}
 		}
-		return req.Tasks, ""
+		return tks, ""
 	})
 }

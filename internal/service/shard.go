@@ -4,9 +4,9 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"expvar"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -657,14 +657,14 @@ func (s *Shard) install(sys task.System, alloc *core.Allocation, hashes []string
 
 func (s *Shard) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	s.serveAdmit(w, r, "admit", func() ([]*task.DAGTask, string) {
-		var tk task.DAGTask
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&tk); err != nil {
+		tk, err := decodeAdmit(io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20)))
+		if err != nil {
 			return nil, "decoding task: " + err.Error()
 		}
 		if tk.Name == "" {
 			return nil, "task must carry a unique name"
 		}
-		return []*task.DAGTask{&tk}, ""
+		return []*task.DAGTask{tk}, ""
 	})
 }
 

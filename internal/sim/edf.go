@@ -116,8 +116,8 @@ func uniprocEDF(group task.System, cfg Config, rngFor func(j int) *rand.Rand, re
 	}
 
 	ready := &idxHeap{less: beats}
-	next := 0      // head of the sorted release lane
-	cur := -1      // index of the running job, -1 when the processor idles
+	next := 0 // head of the sorted release lane
+	cur := -1 // index of the running job, -1 when the processor idles
 	now := Time(0)
 	var runStart Time // when cur was (re)dispatched
 	for {

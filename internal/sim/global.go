@@ -135,8 +135,8 @@ func globalEDF(sys task.System, m int, cfg Config, rec *trace.Recorder) (*Report
 		return a.seq < b.seq
 	}
 
-	avail := &gHeap{}                    // available but not executing
-	executing := make([]*gJob, 0, m)     // sorted by (deadline, seq); index = trace proc id
+	avail := &gHeap{}                // available but not executing
+	executing := make([]*gJob, 0, m) // sorted by (deadline, seq); index = trace proc id
 	cal := &calendar{}
 	next := 0 // head of the sorted release lane
 	remainingJobs := len(all)

@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"fedsched/internal/dag"
@@ -24,22 +23,6 @@ func testRecords(t *testing.T) []Record {
 		{Seq: 2, Op: OpAdmit, Tasks: []*task.DAGTask{testTask(t, "b"), testTask(t, "c")}, Hashes: []string{"bbbb", "cccc"}},
 		{Seq: 3, Op: OpRemove, Name: "b"},
 	}
-}
-
-// sameRecord compares records through their JSON-visible content (task
-// pointers differ after a decode round trip).
-func sameRecord(a, b Record) bool {
-	if a.Seq != b.Seq || a.Op != b.Op || a.Name != b.Name ||
-		len(a.Tasks) != len(b.Tasks) || !reflect.DeepEqual(a.Hashes, b.Hashes) {
-		return false
-	}
-	for i := range a.Tasks {
-		x, y := a.Tasks[i], b.Tasks[i]
-		if x.Name != y.Name || x.D != y.D || x.T != y.T || !x.G.Equal(y.G) {
-			return false
-		}
-	}
-	return true
 }
 
 func TestRecordRoundTrip(t *testing.T) {

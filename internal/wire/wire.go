@@ -1,5 +1,7 @@
-// Package wire holds the single-pass JSON reader behind the DAG and task
-// codecs' fast paths, and the string appender their encoders share.
+// Package wire holds the single-pass JSON reader behind the fast paths of
+// the DAG and task codecs and of the envelopes that carry tasks (request
+// bodies, WAL records, snapshots), and the string appender their encoders
+// share.
 //
 // The reader accepts only the canonical subset of JSON that the codecs emit:
 // plain strings (printable ASCII that encoding/json writes unescaped, so no
@@ -113,6 +115,17 @@ func (s *Scanner) Int() (int64, bool) {
 		v = -v
 	}
 	return v, true
+}
+
+// Uint reads a plain decimal integer with no sign: encoding/json refuses
+// any sign, "-0" included, for an unsigned field.
+func (s *Scanner) Uint() (uint64, bool) {
+	s.skipSpace()
+	if s.pos < len(s.data) && s.data[s.pos] == '-' {
+		return 0, false
+	}
+	v, ok := s.Int()
+	return uint64(v), ok
 }
 
 // Object reads an object, calling field with each key once the scanner is
