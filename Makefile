@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt-check build vet test test-short test-race cover bench bench-test fuzz fuzz-smoke oracle-race par-race shard-race partition-race policy-race typed-race serve-smoke obs-smoke policy-bench perf-gate perf-baseline experiments experiments-quick examples clean
+.PHONY: all check fmt-check build vet test test-short test-race cover bench bench-test fuzz fuzz-smoke oracle-race par-race shard-race partition-race policy-race typed-race policy-bench perf-gate perf-baseline experiments experiments-quick examples clean
 
 all: build vet test
 
@@ -12,11 +12,11 @@ all: build vet test
 # fuzzing smoke pass, the
 # shard/durability suite under the race detector, the admission-policy layer
 # under the race detector, the typed processor model under the race detector,
-# an end-to-end boot/admit/drain check of the fedschedd daemon, a smoke test
-# of its observability surface (/metrics, pprof, ?trace=1, flight recorder,
-# audit log), the admission benchmark's own module (bench-test), and the
-# continuous perf-regression gate over the pinned benchmark set.
-check: fmt-check vet build test-race oracle-race par-race shard-race partition-race policy-race typed-race fuzz-smoke serve-smoke obs-smoke bench-test perf-gate
+# the admission benchmark's own module (bench-test), and the continuous
+# perf-regression gate over the pinned benchmark set. The end-to-end daemon
+# tests (cmd/fedschedd/e2e_test.go: boot, admit, observability surface,
+# kill -9 recovery, drain) run inside test-race.
+check: fmt-check vet build test-race oracle-race par-race shard-race partition-race policy-race typed-race fuzz-smoke bench-test perf-gate
 
 # Fails when any Go file in the tree is not gofmt-formatted.
 fmt-check:
@@ -112,7 +112,8 @@ partition-race:
 policy-race:
 	$(GO) test -race ./internal/semifed/ ./internal/reservation/
 	$(GO) test -race -run 'TestPolicy' ./cmd/fedsched/ ./cmd/fedschedd/ ./cmd/analyze/
-	$(GO) test -race -run 'TestConfigValidatePolicy|TestE22' ./internal/exp/
+	$(GO) test -race -run 'TestDaemonRecovery/semi' ./cmd/fedschedd/
+	$(GO) test -race -run 'TestE22' ./internal/exp/
 
 # The typed (heterogeneous) processor model under the race detector: the
 # typed list-scheduling engine properties, the typed MINPROCS metamorphic
@@ -129,27 +130,14 @@ typed-race:
 	$(GO) test -race -run 'TestWarmPathByteIdenticalToFullRepartition|TestServiceStateRandomWalk|TestWarmPathActuallyTaken' ./internal/service/
 	$(GO) test -race -run 'TestOracleTyped' ./internal/sim/
 	$(GO) test -race -run 'TestTyped' ./cmd/fedsched/ ./cmd/fedschedd/ ./cmd/analyze/
+	$(GO) test -race -run 'TestDaemonRecovery/typed' ./cmd/fedschedd/
 	$(GO) test -race -run 'TestE23' ./internal/exp/
-
-# End-to-end daemon smoke test: build fedschedd, boot it on a random port,
-# admit Example 1 (accepted) and a 3-wide high-density task (3-processor
-# Phase-1 grant), then SIGTERM and assert a clean drain. Followed by the
-# crash-recovery smoke: admit with -wal-dir, kill -9, restart on the same
-# directory, assert a byte-identical allocation and a prewarmed Phase-1 cache.
-serve-smoke:
-	$(GO) run ./scripts/servesmoke
 
 # Policy benchmark: time cold and warm admissions under each -policy
 # (fedcons, semi, reservation, typed) on a fixed workload. Load testing of
 # the daemon itself is bench/ (`bash bench/run.sh`, see bench/README.md).
 policy-bench:
 	$(GO) test -run '^$$' -bench '^BenchmarkSchedulePolicy$$' -benchmem ./internal/service/
-
-# Observability smoke test: boot fedschedd with -v/-audit/-debug-addr, scrape
-# the Prometheus exposition, admit with ?trace=1 asserting the inline decision
-# trace, pull a pprof profile from the debug listener, and check the audit log.
-obs-smoke:
-	$(GO) run ./scripts/obssmoke
 
 # Continuous perf-regression gate: run the pinned benchmark set (medians over
 # -count 5), compare against results/bench_baseline.json, fail on a >25%

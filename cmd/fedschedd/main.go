@@ -133,6 +133,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *sloWindow < 0 {
 		return fmt.Errorf("-slo-window must be ≥ 0, got %v", *sloWindow)
 	}
+	if *admitTimeout < 0 {
+		return fmt.Errorf("-admit-timeout must be ≥ 0, got %v", *admitTimeout)
+	}
+	if *drainTimeout < 0 {
+		return fmt.Errorf("-drain-timeout must be ≥ 0, got %v", *drainTimeout)
+	}
 
 	if *walDump != "" {
 		return runWALDump(out, *walDump)

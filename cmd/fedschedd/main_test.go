@@ -4,162 +4,30 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
-	"time"
-
-	"fedsched/internal/dag"
-	"fedsched/internal/service"
-	"fedsched/internal/task"
 )
 
-// syncBuffer lets the test read run's output while the daemon goroutine is
-// still writing to it.
-type syncBuffer struct {
-	mu sync.Mutex
-	b  bytes.Buffer
-}
-
-func (s *syncBuffer) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
-}
-
-func (s *syncBuffer) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.String()
-}
-
-// post sends body as JSON to url and returns the response status.
-func post(ctx context.Context, client *http.Client, url string, body []byte) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode, nil
-}
-
-// getOK fetches url and returns its body, failing on any status but 200.
-func getOK(client *http.Client, url string) ([]byte, error) {
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return body, fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	return body, nil
-}
-
-// waitForAddr polls the addrfile written by -addrfile until the daemon binds.
-func waitForAddr(t *testing.T, path string) string {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if b, err := os.ReadFile(path); err == nil && len(b) > 0 {
-			return string(b)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("daemon never wrote its address file")
-	return ""
-}
-
-// TestServeLifecycle boots the daemon on an ephemeral port, exercises the API
-// over real HTTP, and checks that cancelling the signal context drains and
-// exits cleanly — the same path a SIGTERM takes in production.
-func TestServeLifecycle(t *testing.T) {
-	addrfile := filepath.Join(t.TempDir(), "addr")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	var out syncBuffer
-	done := make(chan error, 1)
-	go func() {
-		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-addrfile", addrfile, "-m", "8"}, &out)
-	}()
-
-	base := "http://" + waitForAddr(t, addrfile)
-	client := &http.Client{Timeout: 5 * time.Second}
-
-	if _, err := getOK(client, base+"/v1/healthz"); err != nil {
-		t.Fatalf("healthz: %v", err)
-	}
-
-	tk := task.MustNew("ex1", dag.Example1(), dag.Example1D, dag.Example1T)
-	body, err := json.Marshal(tk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	status, err := post(ctx, client, base+"/v1/admit", body)
-	if err != nil {
-		t.Fatalf("admit: %v", err)
-	}
-	if status != http.StatusOK {
-		t.Fatalf("admit Example 1: status %d", status)
-	}
-
-	alloc, err := getOK(client, base+"/v1/allocation")
-	if err != nil {
-		t.Fatalf("allocation: %v", err)
-	}
-	var v service.Verdict
-	if err := json.Unmarshal(alloc, &v); err != nil {
-		t.Fatalf("allocation is not a Verdict: %v", err)
-	}
-	if !v.Schedulable || v.Tasks != 1 {
-		t.Fatalf("unexpected verdict after admit: %s", alloc)
-	}
-
-	cancel() // same as delivering SIGTERM
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run returned %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("daemon did not shut down after context cancel")
-	}
-	log := out.String()
-	for _, want := range []string{"listening on http://", "drained, bye"} {
-		if !strings.Contains(log, want) {
-			t.Errorf("output missing %q:\n%s", want, log)
-		}
-	}
-}
-
-// TestRunFlagErrors pins the CLI error surface.
+// TestRunFlagErrors pins the CLI error surface. The context is already
+// cancelled, so a wrongly accepted flag set boots, drains at once and
+// returns nil instead of serving forever.
 func TestRunFlagErrors(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	cases := [][]string{
-		{"-minprocs", "quantum"},         // unknown MINPROCS variant
-		{"-partition", "worst-first"},    // unknown heuristic
-		{"-m", "0"},                      // invalid platform
-		{"-loadgen"},                     // undefined flag (the load generator lives in bench/)
-		{"extra-positional"},             // stray argument
-		{"-addr", "256.0.0.1:bad:extra"}, // unparseable listen address
+		{"-minprocs", "quantum"},                          // unknown MINPROCS variant
+		{"-partition", "worst-first"},                     // unknown heuristic
+		{"-m", "0"},                                       // invalid platform
+		{"-loadgen"},                                      // undefined flag (the load generator lives in bench/)
+		{"extra-positional"},                              // stray argument
+		{"-addr", "256.0.0.1:bad:extra"},                  // unparseable listen address
+		{"-addr", "127.0.0.1:0", "-admit-timeout", "-1s"}, // every admit would answer 504
+		{"-addr", "127.0.0.1:0", "-drain-timeout", "-1s"}, // shutdown could never drain
 	}
 	for _, args := range cases {
-		if err := run(context.Background(), args, &bytes.Buffer{}); err == nil {
+		if err := run(ctx, args, &bytes.Buffer{}); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
 	}
@@ -218,50 +86,25 @@ func TestShardFlagValidation(t *testing.T) {
 // TestShardedServeLifecycle boots a multi-shard durable daemon, admits into
 // two clusters, and checks the banner names the topology.
 func TestShardedServeLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	addrfile := filepath.Join(dir, "addr")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	var out syncBuffer
-	done := make(chan error, 1)
-	go func() {
-		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-addrfile", addrfile,
-			"-m", "8", "-shards", "4", "-wal-dir", filepath.Join(dir, "wal"), "-snapshot-every", "2"}, &out)
-	}()
-
-	base := "http://" + waitForAddr(t, addrfile)
-	client := &http.Client{Timeout: 5 * time.Second}
-	tk := task.MustNew("ex1", dag.Example1(), dag.Example1D, dag.Example1T)
-	body, err := json.Marshal(tk)
+	walDir := filepath.Join(t.TempDir(), "wal")
+	d := startDaemon(t, false, "-shards", "4", "-wal-dir", walDir, "-snapshot-every", "2")
+	body, err := json.Marshal(example1("ex1"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cluster := range []string{"alpha", "beta"} {
-		status, err := post(ctx, client, base+"/v1/clusters/"+cluster+"/admit", body)
-		if err != nil || status != http.StatusOK {
-			t.Fatalf("admit into %s: status %d, err %v", cluster, status, err)
+		if status, _, resp := call(t, http.MethodPost, d.base+"/v1/clusters/"+cluster+"/admit", body); status != http.StatusOK {
+			t.Fatalf("admit into %s: status %d %s", cluster, status, resp)
 		}
 	}
-	if _, err := getOK(client, base+"/v1/healthz"); err != nil {
-		t.Fatalf("healthz: %v", err)
-	}
-
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run returned %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("daemon did not shut down")
-	}
-	if log := out.String(); !strings.Contains(log, "shards=4") || !strings.Contains(log, "wal-dir=") {
+	get(t, d.base+"/v1/healthz")
+	d.term(t)
+	if log := d.out.String(); !strings.Contains(log, "shards=4") || !strings.Contains(log, "wal-dir=") {
 		t.Errorf("banner does not name the topology:\n%s", log)
 	}
 	// The durable layout exists: at least the shards that saw mutations have
 	// WALs on disk.
-	matches, err := filepath.Glob(filepath.Join(dir, "wal", "shard-*", "wal.log"))
+	matches, err := filepath.Glob(filepath.Join(walDir, "shard-*", "wal.log"))
 	if err != nil || len(matches) == 0 {
 		t.Errorf("no per-shard WALs under -wal-dir: %v (%v)", matches, err)
 	}

@@ -22,7 +22,7 @@ var utilGrid = []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
 // U/m = 1/(3 − 1/m) ≈ 0.35.
 func E4AcceptanceVsUtil(cfg Config) (*Result, error) {
 	const m, n = 8, 10
-	fedcons := policyAnalyzer(cfg)
+	fedcons := runner.MustLookup("fedcons")
 	tab := &stats.Table{
 		Title:   "E4 — FEDCONS acceptance ratio vs U_sum/m (m=8, n=10)",
 		Columns: []string{"U/m", "systems", "accepted", "ratio", "95% CI"},
@@ -63,7 +63,7 @@ func E5AcceptanceVsDeadlineRatio(cfg Config) (*Result, error) {
 	const m, n = 8, 10
 	const normU = 0.5
 	betaGrid := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
-	fedcons := policyAnalyzer(cfg)
+	fedcons := runner.MustLookup("fedcons")
 	tab := &stats.Table{
 		Title:   "E5 — acceptance vs deadline tightness β (m=8, n=10, U/m=0.5)",
 		Columns: []string{"β", "accepted ratio", "mean Σδ", "mean high-density tasks"},

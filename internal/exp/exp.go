@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"fedsched/internal/core"
 	"fedsched/internal/gen"
 	"fedsched/internal/runner"
 	"fedsched/internal/stats"
@@ -38,13 +37,6 @@ type Config struct {
 	// (Seed, experiment, point, trial), never from execution order (see
 	// internal/runner).
 	Par int
-	// Policy selects the admission policy the single-policy acceptance
-	// sweeps (E4, E5) analyze: "" or "fedcons" is the paper's strict
-	// algorithm (the default, and what the committed tables record); "semi"
-	// and "reservation" rerun those sweeps under the corresponding policy.
-	// E22 always compares all three side by side. Unknown values are
-	// rejected by Validate.
-	Policy string
 	// Progress, when non-nil, receives trial-completion updates from
 	// engine-backed experiments. It may be called concurrently with the
 	// experiment's own work but calls are serialized; done increases
@@ -77,23 +69,7 @@ func (c Config) Validate() error {
 	if c.Par < 0 {
 		return fmt.Errorf("exp: Par must be ≥ 0 (0 = GOMAXPROCS), got %d", c.Par)
 	}
-	if _, err := core.NormalizePolicy(c.Policy); err != nil {
-		return fmt.Errorf("exp: %v", err)
-	}
 	return nil
-}
-
-// policyAnalyzer resolves cfg.Policy (validated upstream) to its registered
-// analyzer: the strict "fedcons" for the empty default.
-func policyAnalyzer(cfg Config) runner.Analyzer {
-	switch cfg.Policy {
-	case core.PolicySemi:
-		return runner.MustLookup("semifed")
-	case core.PolicyReservation:
-		return runner.MustLookup("reservation")
-	default:
-		return runner.MustLookup("fedcons")
-	}
 }
 
 // PlotSpec tells renderers how to draw the experiment's figure from its

@@ -20,38 +20,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestConfigValidatePolicy pins the Policy vocabulary: the strict default
-// spellings and both registered split policies validate, anything else is
-// rejected with the -policy error message.
-func TestConfigValidatePolicy(t *testing.T) {
-	cases := []struct {
-		policy string
-		ok     bool
-	}{
-		{"", true},
-		{"fedcons", true},
-		{"semi", true},
-		{"reservation", true},
-		{"typed", true},
-		{"quantum", false},
-		{"SEMI", false},
-		{"semi ", false},
-	}
-	for _, tc := range cases {
-		cfg := quick()
-		cfg.Policy = tc.policy
-		err := cfg.Validate()
-		if tc.ok && err != nil {
-			t.Errorf("Policy %q: %v, want valid", tc.policy, err)
-		}
-		if !tc.ok {
-			if err == nil || !strings.Contains(err.Error(), "unknown policy") {
-				t.Errorf("Policy %q: err = %v, want unknown-policy rejection", tc.policy, err)
-			}
-		}
-	}
-}
-
 // TestE22DominanceAndVerification runs the policy-comparison experiment at
 // quick scale: the result must certify zero dominance violations (the Notes
 // record the per-trial check) and the SEMI and RESERVATION columns must be

@@ -105,7 +105,7 @@ type flightSummary struct {
 // handleTraces serves GET /debug/traces: one JSON line per retained entry
 // across every shard, oldest first within a shard, shards in index order.
 // Deterministic given a quiescent recorder — the JSONL export format the
-// obssmoke harness diffs.
+// daemon's end-to-end test lists on failure.
 func (s *Server) handleTraces(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
 	enc := json.NewEncoder(w)
@@ -131,7 +131,8 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 			// paths embed the trace at the same nesting depth — so the
 			// retained "trace" field here re-indents to the exact bytes the
 			// ?trace=1 inline verdict carried. That byte-identity is pinned
-			// by TestFlightRecorderRejectionByteIdentity and obssmoke.
+			// by TestFlightRecorderRejectionByteIdentity and, against the
+			// real daemon, by cmd/fedschedd's TestDaemonLifecycle.
 			body, err := json.MarshalIndent(e, "", "  ")
 			if err != nil {
 				writeJSON(w, errResult(http.StatusInternalServerError, "encoding trace: "+err.Error()))

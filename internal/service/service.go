@@ -30,7 +30,7 @@ type Config struct {
 	// shed with 429 + Retry-After. Default 64.
 	QueueBound int
 	// AdmitTimeout is the per-request context deadline applied to mutating
-	// requests. Default 2s.
+	// requests. Default 2s; negative values are rejected.
 	AdmitTimeout time.Duration
 	// FullRepartition disables the incremental Phase-2 warm path: every
 	// mutation re-runs the full (memo-backed) FEDCONS analysis. The default
@@ -143,6 +143,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.AdmitTimeout == 0 {
 		cfg.AdmitTimeout = 2 * time.Second
+	}
+	if cfg.AdmitTimeout < 0 {
+		return nil, fmt.Errorf("service: admission timeout must be ≥ 0, got %v", cfg.AdmitTimeout)
 	}
 	if cfg.Shards == 0 {
 		cfg.Shards = 1

@@ -384,4 +384,7 @@ func TestServerRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{M: 2, QueueBound: -1}); err == nil {
 		t.Error("accepted negative queue bound")
 	}
+	if _, err := New(Config{M: 2, AdmitTimeout: -time.Second}); err == nil {
+		t.Error("accepted negative admission timeout")
+	}
 }
