@@ -102,17 +102,18 @@ partition-race:
 	$(GO) test -race -run 'TestAdmitRemoveLow|TestRemoveLow|TestVerifyDelta' ./internal/core/
 	$(GO) test -race -run 'TestWarmPath|TestServiceStateRandomWalk|TestEncodeFast' ./internal/service/
 
-# The pluggable admission-policy layer under the race detector: the
-# semi-federated and reservation property suites (service-lemma sizing,
-# acceptance dominance over strict FEDCONS, verifier rejection of mutated
-# budgets and servers), the 20-seed CLI differential pinning -policy=fedcons
-# byte-identical to the default invocation, the daemon's policy-pinned
-# durability (banner, snapshot header, recovery refusal), and the E22
-# dominance certification at quick scale.
+# The admission-policy table under the race detector: the semi-federated
+# and reservation property suites in core (output goldens, service-lemma
+# sizing, acceptance dominance over strict FEDCONS, strict fallback, verifier
+# rejection of mutated budgets and servers, split failure indices), the
+# 20-seed CLI differential pinning -policy=fedcons byte-identical to the
+# default invocation, the daemon's policy-pinned durability (banner,
+# snapshot header, recovery refusal), and the E22 dominance certification at
+# quick scale.
 policy-race:
-	$(GO) test -race ./internal/semifed/ ./internal/reservation/
+	$(GO) test -race -run 'TestSplit|TestSemiSplit|TestReservationServiceCondition|TestVerifyRejectsMutated|TestTwoPhaseSplitFailureIndex' ./internal/core/
 	$(GO) test -race -run 'TestPolicy' ./cmd/fedsched/ ./cmd/fedschedd/ ./cmd/analyze/
-	$(GO) test -race -run 'TestDaemonRecovery/semi' ./cmd/fedschedd/
+	$(GO) test -race -run 'TestDaemonRecovery/(semi|reservation)' ./cmd/fedschedd/
 	$(GO) test -race -run 'TestE22' ./internal/exp/
 
 # The typed (heterogeneous) processor model under the race detector: the

@@ -83,6 +83,9 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	sys, m := sf.Tasks, sf.Processors
+	if err := core.CheckMTypes(mtypes, m); err != nil {
+		return err
+	}
 
 	// --- Per-task table. ---
 	fmt.Fprintf(out, "task model (m = %d):\n", m)
@@ -148,8 +151,9 @@ func run(args []string, out io.Writer) error {
 		}
 		methods = append(methods, method{label, func(s task.System, mm int) bool {
 			opt := core.Options{Policy: pol}
-			// The declared budgets only fit the declared platform; a -minm
-			// probe at a different size falls back to a single-type platform.
+			// The declared budgets fit the declared platform (CheckMTypes
+			// above); a -minm probe at a different size falls back to a
+			// single-type platform.
 			if sumInts(mtypes) == mm {
 				opt.MTypes = mtypes
 			}

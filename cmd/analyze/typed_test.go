@@ -8,7 +8,8 @@ import (
 
 // TestTypedRow pins the -policy=typed surface of the report: the typed row
 // appears only when requested, is labeled with the declared platform when
-// -m-types is given, and the budget flags demand the typed policy.
+// -m-types is given, and the budget flags demand the typed policy and must
+// sum to the system's processor count.
 func TestTypedRow(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -30,6 +31,11 @@ func TestTypedRow(t *testing.T) {
 			name:    "mtypes-without-typed",
 			args:    []string{"-m-types", "a:1", "-example1"},
 			wantErr: "-m-types requires -policy=typed",
+		},
+		{
+			name:    "budgets-mismatch-m",
+			args:    []string{"-policy", "typed", "-m-types", "a:1,b:1", "-example2", "4"},
+			wantErr: "per-type budgets a:1,b:1 sum to 2, want m=4",
 		},
 		{
 			name:    "bad-spec",

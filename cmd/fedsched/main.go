@@ -134,6 +134,9 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if err := core.CheckMTypes(opt.MTypes, sf.Processors); err != nil {
+		return err
+	}
 
 	if *output == "text" {
 		fmt.Fprintf(out, "system: %d tasks on m=%d processors (U_sum=%.3f, Σδ=%.3f)\n",

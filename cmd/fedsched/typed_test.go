@@ -15,7 +15,8 @@ import (
 // TestTypedFlagValidation pins the typed flag surface: -policy=typed is
 // accepted (with and without budgets), the budget flags demand the typed
 // policy and exclude each other, malformed -m-types specs are refused before
-// the input file is read, and -simulate accepts typed allocations (they carry
+// the input file is read, budgets that do not sum to the file's processor
+// count are refused before any analysis, and -simulate accepts typed allocations (they carry
 // template schedules, unlike the split shapes).
 func TestTypedFlagValidation(t *testing.T) {
 	path := schedulableFile(t)
@@ -35,6 +36,8 @@ func TestTypedFlagValidation(t *testing.T) {
 		{"bad-spec-name", []string{"-policy", "typed", "-m-types", "A:8"}, "type must be a letter"},
 		{"bad-spec-dup", []string{"-policy", "typed", "-m-types", "a:4,a:4"}, "twice"},
 		{"bad-spec-negative", []string{"-policy", "typed", "-m-types", "a:-1"}, "non-negative"},
+		{"budgets-mismatch-m", []string{"-policy", "typed", "-m-types", "a:1,b:1"}, "per-type budgets a:1,b:1 sum to 2, want m=4"},
+		{"m-a-mismatch-m", []string{"-policy", "typed", "-m-a", "2"}, "per-type budgets a:2,b:0 sum to 2, want m=4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

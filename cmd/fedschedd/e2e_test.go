@@ -450,14 +450,17 @@ func TestDaemonLifecycle(t *testing.T) {
 // "doomed", so the WAL ends at seq 5. The daemon then stops either by
 // kill -9 at -snapshot-every 2 (the cadence snapshotted through seq 4, so
 // the removal survives only on the fsynced WAL) or by a SIGTERM drain at
-// -snapshot-every 1. Either way a reboot under another policy is refused,
+// -snapshot-every 1. Either way a reboot under another policy (or, for the
+// typed row, other per-type budgets) is refused,
 // the same flags recover a byte-identical allocation at seq 5 (with the
 // Phase-1 cache prewarmed, where the policy uses it), and the next warm
 // admission matches a never-crashed twin fed the same history.
 func TestDaemonRecovery(t *testing.T) {
 	// splitTask is high-density with vol=7 > window=6 > len=4: semi grants
 	// it 1 dedicated processor plus a server of budget 7 − 1·(6−4) = 5,
-	// where strict FEDCONS dedicates 2 whole processors.
+	// and reservation ⌈(7−4)/(6−4)⌉ = 2 servers of budget ⌈(7+4)/2⌉ = 6 and
+	// no dedicated processor, where strict FEDCONS dedicates 2 whole
+	// processors.
 	splitTask := func(name string) *task.DAGTask { return task.MustNew(name, dag.Independent(4, 3), 6, 6) }
 	// mixedHigh fills its window min(D,T) = 6 on one processor of each
 	// type, so Phase 1 grants one from the a-block [0,4) and one from the
@@ -470,7 +473,7 @@ func TestDaemonRecovery(t *testing.T) {
 		policy []string
 		feed   []*task.DAGTask
 		shape  func(v service.Verdict) bool
-		wrong  [][]string // policy flags a reboot over this WAL must refuse
+		wrong  [][]string // policy or platform flags a reboot over this WAL must refuse
 		warm   *task.DAGTask
 		memo   bool // the policy analyzes through the Phase-1 cache
 	}{
@@ -500,6 +503,22 @@ func TestDaemonRecovery(t *testing.T) {
 			warm:  example1("post-crash-low"),
 		},
 		{
+			name:   "reservation",
+			policy: []string{"-policy", "reservation"},
+			feed:   []*task.DAGTask{example1("example1"), splitTask("split-a"), splitTask("split-b"), example1("doomed")},
+			shape: func(v service.Verdict) bool {
+				budgets := map[string]task.Time{}
+				for _, sv := range v.Servers {
+					budgets[sv.Task] = sv.Budget
+				}
+				return v.Policy == "reservation" && len(v.High) == 0 && len(v.Servers) == 4 &&
+					budgets["split-a#srv0"] == 6 && budgets["split-a#srv1"] == 6 &&
+					budgets["split-b#srv0"] == 6 && budgets["split-b#srv1"] == 6
+			},
+			wrong: [][]string{{}, {"-policy", "semi"}},
+			warm:  example1("post-crash-low"),
+		},
+		{
 			name:   "typed",
 			policy: []string{"-policy", "typed", "-m-types", "a:4,b:4"},
 			feed: []*task.DAGTask{mixedHigh("mixed-a"), mixedHigh("mixed-b"),
@@ -511,7 +530,7 @@ func TestDaemonRecovery(t *testing.T) {
 				return v.Policy == "typed" && fmt.Sprint(v.MTypes) == "[4 4]" &&
 					spans(procs["mixed-a"]) && spans(procs["mixed-b"])
 			},
-			wrong: [][]string{{}},
+			wrong: [][]string{{}, {"-policy", "typed", "-m-types", "a:7,b:1"}},
 			warm:  typedDaemonTask("post-crash-low", []int{1}, []task.Time{2}, 8, 16),
 		},
 	}

@@ -86,10 +86,8 @@ type Options struct {
 	// 0 and 1 both mean fully sequential; negative values are rejected.
 	Par int
 	// Policy selects the admission strategy: "" (or "fedcons") runs the
-	// paper's strict algorithm above; any other value must name a policy
-	// registered with RegisterPolicy (e.g. "semi", "reservation", "typed"),
-	// and Schedule dispatches to it. The strict path never consults the
-	// registry, so the default output cannot be perturbed by registration.
+	// paper's strict algorithm above; "semi", "reservation" and "typed"
+	// select the other rows of the policy table (policy.go).
 	Policy string
 	// MTypes gives the per-type processor budgets of a heterogeneous
 	// platform (MTypes[s] processors of type s, Σ MTypes = m) for the
@@ -396,11 +394,10 @@ func ceilDensity(tk *task.DAGTask) int {
 }
 
 // Schedule runs the configured admission policy on (τ, m): the paper's
-// strict FEDCONS when opt.Policy is "" or "fedcons", otherwise the
-// registered policy of that name (with the strict scheduler passed as its
-// fallback). On success it returns the allocation; on failure, an error —
-// a *FailureError describing the phase and task responsible when the strict
-// path decided.
+// strict FEDCONS when opt.Policy is "" or "fedcons", otherwise the policy
+// of that name in the policy table (see ScheduleWith). On success it
+// returns the allocation; on failure, an error — a *FailureError describing
+// the phase and task responsible when the analysis decided.
 func Schedule(sys task.System, m int, opt Options) (*Allocation, error) {
 	return ScheduleWith(sys, m, opt, minprocsSizer)
 }
@@ -425,27 +422,6 @@ type SizeFunc func(i int, tk *task.DAGTask, mr int, sp *obs.Span) (Grant, bool)
 // so it can precompute the whole system's Phase 1 first: core's LS prefetch
 // (Options.Par) or a memoizing caller's own pool.
 type Sizer func(sys task.System, opt Options) SizeFunc
-
-// ScheduleWith is Schedule with the strict shape's MINPROCS step built by
-// strict, both on the default path and in the fallback handed to policies.
-// A caller that memoizes Phase 1 (the service layer) passes its own Sizer;
-// the output must then be exactly Schedule's.
-func ScheduleWith(sys task.System, m int, opt Options, strict Sizer) (*Allocation, error) {
-	fedcons := func(sys task.System, m int, opt Options) (*Allocation, error) {
-		if err := ValidateInput(sys, m, opt); err != nil {
-			return nil, err
-		}
-		return TwoPhase(sys, m, opt, "", "fedcons", strict(sys, opt))
-	}
-	if opt.Policy == "" || opt.Policy == PolicyFedcons {
-		return fedcons(sys, m, opt)
-	}
-	p, err := LookupPolicy(opt.Policy)
-	if err != nil {
-		return nil, err
-	}
-	return p.Schedule(sys, m, opt, fedcons)
-}
 
 // minprocsSizer is the paper's Phase-1 step: MINPROCS (Fig. 3), or its
 // analytic variant, bounded by m_r. With Par > 1 the LS scans are
@@ -473,14 +449,14 @@ func minprocsSizer(sys task.System, opt Options) SizeFunc {
 	}
 }
 
-// TwoPhase is the two-phase loop of FEDCONS (Fig. 2) for every strict or
+// twoPhase is the two-phase loop of FEDCONS (Fig. 2) for every strict or
 // split allocation shape; the caller has validated the input. Phase 1 walks
 // the tasks in input order, sizes each high-density one with size and
 // numbers its dedicated processors consecutively; Phase 2 partitions the
 // servers and low-density tasks (PartitionSystem) onto the processors left.
 // policy tags the allocation ("" is strict) and span names the root trace
 // span. A rejection is a *FailureError naming the task's input index.
-func TwoPhase(sys task.System, m int, opt Options, policy, span string, size SizeFunc) (*Allocation, error) {
+func twoPhase(sys task.System, m int, opt Options, policy, span string, size SizeFunc) (*Allocation, error) {
 	alloc := &Allocation{M: m, Policy: policy}
 	nextProc := 0 // processors [0, nextProc) are spoken for
 	mr := m       // m_r: remaining processors (Fig. 2 line 1)

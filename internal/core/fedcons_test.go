@@ -398,7 +398,7 @@ func BenchmarkScheduleMixed(b *testing.B) {
 	}
 }
 
-// TwoPhase maps a split shape's failures back to input indices: a Phase-1
+// twoPhase maps a split shape's failures back to input indices: a Phase-1
 // rejection names the sized task, and a Phase-2 rejection of a server names
 // its owner while one of a low-density task names that task.
 func TestTwoPhaseSplitFailureIndex(t *testing.T) {
@@ -415,7 +415,7 @@ func TestTwoPhaseSplitFailureIndex(t *testing.T) {
 		m     int
 		owner string
 	}{{2, "h2"}, {4, "a"}, {5, "b"}} {
-		_, err := TwoPhase(sys, tc.m, Options{}, PolicyReservation, "reservation", servers)
+		_, err := twoPhase(sys, tc.m, Options{}, PolicyReservation, "reservation", servers)
 		var fe *FailureError
 		if !errors.As(err, &fe) || fe.Phase != PhaseLowDensity {
 			t.Fatalf("m=%d: want a low-density FailureError, got %v", tc.m, err)
@@ -427,7 +427,7 @@ func TestTwoPhaseSplitFailureIndex(t *testing.T) {
 	refuse := func(i int, _ *task.DAGTask, _ int, _ *obs.Span) (Grant, bool) {
 		return Grant{Procs: 1}, i == 1
 	}
-	_, err := TwoPhase(sys, 4, Options{}, PolicySemi, "semifed", refuse)
+	_, err := twoPhase(sys, 4, Options{}, PolicySemi, "semifed", refuse)
 	var fe *FailureError
 	if !errors.As(err, &fe) || fe.Phase != PhaseHighDensity || fe.TaskIndex != 2 || fe.Remaining != 3 {
 		t.Fatalf("want a high-density FailureError for task 2 with 3 processors left, got %v", err)

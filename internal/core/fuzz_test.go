@@ -1,24 +1,52 @@
-package core_test
+package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
-	"fedsched/internal/core"
 	"fedsched/internal/dag"
 	"fedsched/internal/task"
-
-	// Registering the policies lets the fuzzer request split-shape
-	// allocations through the ordinary core.Schedule dispatch. This file is
-	// an external test package precisely so these imports are legal.
-	_ "fedsched/internal/reservation"
-	_ "fedsched/internal/semifed"
-	_ "fedsched/internal/typedfed"
 )
+
+// fuzzSystem builds a small random constrained-deadline system, biased so
+// the first task is often high-density (ensuring dedicated-group mutations
+// have something to corrupt). The hash and metamorphic property tests
+// share it with the fuzz harness below.
+func fuzzSystem(r *rand.Rand, n int) task.System {
+	sys := make(task.System, 0, n)
+	for i := 0; i < n; i++ {
+		nv := 1 + r.Intn(6)
+		if i == 0 && r.Intn(2) == 0 {
+			nv = 4 + r.Intn(5)
+		}
+		b := dag.NewBuilder(nv)
+		for v := 0; v < nv; v++ {
+			b.AddJob(task.Time(1 + r.Intn(6)))
+		}
+		for u := 0; u < nv; u++ {
+			for v := u + 1; v < nv; v++ {
+				if r.Float64() < 0.3 {
+					b.AddEdge(u, v)
+				}
+			}
+		}
+		g := b.MustBuild()
+		var d task.Time
+		if i == 0 {
+			d = g.LongestChain() + task.Time(r.Intn(3))
+		} else {
+			d = g.LongestChain() + task.Time(r.Intn(int(2*g.Volume())))
+		}
+		t := d + task.Time(r.Intn(40))
+		sys = append(sys, task.MustNew(fmt.Sprintf("t%d", i), g, d, t))
+	}
+	return sys
+}
 
 // retypeSysForFuzz rebuilds each task with every vertex independently
 // re-pinned to type b with the given probability (structure, WCETs, D and T
-// unchanged) — the typed-system counterpart of FuzzSystemForTest.
+// unchanged) — the typed-system counterpart of fuzzSystem.
 func retypeSysForFuzz(r *rand.Rand, sys task.System, prob float64) task.System {
 	out := make(task.System, len(sys))
 	for i, tk := range sys {
@@ -70,7 +98,7 @@ func procTypeOf(mtypes []int, p int) int {
 	return -1
 }
 
-// FuzzVerifyAllocation checks the two faces of core.Verify on fuzz-chosen
+// FuzzVerifyAllocation checks the two faces of Verify on fuzz-chosen
 // systems: every allocation Schedule produces passes it unchanged, and no
 // single structural corruption slips through. Mutations 0–7 corrupt the
 // strict FEDCONS shape — wrong platform size, dropped or duplicated task,
@@ -100,20 +128,20 @@ func FuzzVerifyAllocation(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed uint32, mut uint8) {
 		r := rand.New(rand.NewSource(int64(seed)))
-		sys := core.FuzzSystemForTest(r, 2+r.Intn(4))
+		sys := fuzzSystem(r, 2+r.Intn(4))
 		mut %= 18
 		typed, split := mut >= 13 && mut < 17, mut >= 8 && mut < 13
-		var opt core.Options
+		var opt Options
 		if typed {
-			opt.Policy = core.PolicyTyped
+			opt.Policy = PolicyTyped
 			sys = retypeSysForFuzz(r, sys, 0.3)
 		} else if split {
-			opt.Policy = core.PolicySemi
+			opt.Policy = PolicySemi
 			if seed%2 == 1 {
-				opt.Policy = core.PolicyReservation
+				opt.Policy = PolicyReservation
 			}
 		}
-		var alloc *core.Allocation
+		var alloc *Allocation
 		var m int
 		for m = 2; m <= 8; m++ {
 			if typed {
@@ -121,7 +149,7 @@ func FuzzVerifyAllocation(f *testing.F) {
 				// so the typed path cannot degenerate to strict FEDCONS.
 				opt.MTypes = []int{m - m/2, m / 2}
 			}
-			a, err := core.Schedule(sys, m, opt)
+			a, err := Schedule(sys, m, opt)
 			if err == nil {
 				alloc = a
 				break
@@ -139,12 +167,12 @@ func FuzzVerifyAllocation(f *testing.F) {
 			// pure partition — nothing fractional to corrupt either way.
 			t.Skip("no reservation servers to corrupt")
 		}
-		if err := core.Verify(sys, m, alloc); err != nil {
+		if err := Verify(sys, m, alloc); err != nil {
 			t.Fatalf("clean allocation failed Verify: %v", err)
 		}
 		checkSys := sys
 
-		mutated := core.CloneAllocForTest(alloc)
+		mutated := cloneAlloc(alloc)
 		var desc string
 		switch mut {
 		case 0:
@@ -208,7 +236,7 @@ func FuzzVerifyAllocation(f *testing.F) {
 			desc = "zero server budget"
 		case 10:
 			owner := sys[mutated.Servers[0].TaskIndex]
-			mutated.Servers[0].Budget = core.Window(owner) + 1
+			mutated.Servers[0].Budget = Window(owner) + 1
 			desc = "server budget beyond the owner's window"
 		case 11:
 			mutated.Servers = mutated.Servers[:len(mutated.Servers)-1]
@@ -259,7 +287,7 @@ func FuzzVerifyAllocation(f *testing.F) {
 			mutated.Low.Assignment[0] = append(mutated.Low.Assignment[0], bad)
 			desc = "partition index out of range"
 		}
-		if err := core.Verify(checkSys, m, mutated); err == nil {
+		if err := Verify(checkSys, m, mutated); err == nil {
 			t.Fatalf("mutated allocation (%s, policy %q) passed Verify; seed=%d", desc, alloc.Policy, seed)
 		}
 	})

@@ -32,7 +32,7 @@ import (
 //     type's leftover processors (contiguous in SharedProcs, because
 //     numbering is type-major) and fed the low-density tasks of type t in
 //     LowIndices order — the independent per-type Baruah–Fisher partitions
-//     of typedfed's Phase 2.
+//     of the typed policy's Phase 2 (typed.go).
 //
 // A mutation touches only the bank of the task's type: every other bank
 // keeps the identical input and processors, so the batch analysis would
@@ -55,7 +55,7 @@ type lowBank struct {
 // verified allocation of sys; its partition is validated for exactly-once
 // coverage and type-correct banks, not re-checked for schedulability.
 func NewLowState(sys task.System, a *Allocation, opt partition.Options) (*LowState, error) {
-	if a.Policy != PolicyTyped {
+	if !policies[a.Policy].typed {
 		part, err := PartitionSystem(sys, a)
 		if err != nil {
 			return nil, err
@@ -155,7 +155,7 @@ func (ls *LowState) bankOf(tk *task.DAGTask) int {
 
 // fits checks that base has the shape ls was built for.
 func (ls *LowState) fits(base *Allocation) error {
-	if ls.typed != (base.Policy == PolicyTyped) || ls.typed && len(ls.banks) != len(base.MTypes) {
+	if ls.typed != policies[base.Policy].typed || ls.typed && len(ls.banks) != len(base.MTypes) {
 		return fmt.Errorf("fedcons: a %d-bank partition state does not mirror a %q allocation", len(ls.banks), base.Policy)
 	}
 	return nil
@@ -322,7 +322,7 @@ func dropPos(positions []int, j, pos int) []int {
 // result materializes the current Phase-2 assignment in the batch encoding:
 // the single bank's result as is, or the typed banks' results stitched in
 // type order with bank-local indices mapped to LowIndices positions, exactly
-// as typedfed's Phase 2 stitches its per-type partitions.
+// as the typed policy's Phase 2 stitches its per-type partitions.
 func (ls *LowState) result() *partition.Result {
 	if !ls.typed {
 		return ls.banks[0].st.Result()

@@ -226,9 +226,7 @@ func mixedHigh(name string) *task.DAGTask {
 // *FailureError field by field — and every successful delta must pass
 // VerifyDelta and Verify. The base holds a mixed-type high-density task;
 // some seeds leave type b no leftover processors, so every type-b admission
-// fails on an empty bank. A scripted walk adds a removal that fails. (The
-// typed policy is registered by the external test package's import of
-// typedfed.)
+// fails on an empty bank. A scripted walk adds a removal that fails.
 func TestAdmitRemoveLowMatchesScheduleTyped(t *testing.T) {
 	optsets := []Options{
 		{},

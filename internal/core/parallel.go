@@ -20,7 +20,7 @@ import (
 //     unbounded budget (the scan self-caps at the DAG width, where success is
 //     guaranteed whenever len ≤ min(D,T)), memoizing each listsched.Run
 //     result by μ.
-//  2. The ordinary sequential merge loop (TwoPhase) re-runs the exact Fig. 2
+//  2. The ordinary sequential merge loop (twoPhase) re-runs the exact Fig. 2
 //     logic — including the m_r-bounded cutoff and every decision-trace span
 //     — but draws LS schedules from the memo instead of recomputing them.
 //

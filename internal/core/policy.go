@@ -5,27 +5,23 @@ import (
 	"sort"
 
 	"fedsched/internal/dag"
+	"fedsched/internal/obs"
 	"fedsched/internal/task"
 )
 
-// This file is the pluggable scheduling-policy layer. The paper's FEDCONS
-// rounds every high-density grant up to whole processors; semi-federated
-// scheduling (Jiang et al., arXiv 1705.03245) and reservation-based federated
+// This file is the closed policy table. The paper's FEDCONS rounds every
+// high-density grant up to whole processors; semi-federated scheduling
+// (Jiang et al., arXiv 1705.03245) and reservation-based federated
 // scheduling (Ueter et al., arXiv 1712.05040) reclaim the rounding loss by
 // granting a high-density task ⌊x⌋ dedicated processors plus fractional
 // reservation servers that the ordinary Phase-2 partitioner places alongside
-// the low-density tasks. Both are implemented outside this package
-// (internal/semifed, internal/reservation) behind the Policy interface below;
-// this file owns what must stay policy-independent:
-//
-//   - the policy registry Schedule and the service layer dispatch through;
-//   - the split allocation shape (Allocation.Policy + Allocation.Servers) and
-//     the construction of server tasks for the shared Phase-2 partitioner;
-//   - the two-phase loop itself (TwoPhase in fedcons.go): a split policy
-//     supplies only its per-task sizing step.
-//
-// The split shapes' entries in the auditor's shape table (verify.go) let
-// Verify audit their output without importing the policy packages.
+// the low-density tasks; the typed policy runs FEDCONS on a platform of
+// processor types (typed.go). One row per policy answers everything asked of
+// it: its root trace span, its Phase-1 step, whether a failure retries
+// strict FEDCONS, and the shape the auditor (verify.go) holds its
+// allocations to. This file also owns the split allocation shape
+// (Allocation.Policy + Allocation.Servers) and the construction of server
+// tasks for the shared Phase-2 partitioner.
 //
 // Soundness of the split shape rests on one lemma (Ueter et al., Lemma 2 /
 // Theorem 1 specialized to equal-deadline reservations): if a DAG task τ_i
@@ -42,9 +38,8 @@ import (
 // EDF-feasibility of the servers' placement on the shared processors, so a
 // mutated budget or dropped server never verifies.
 
-// Policy names. PolicyFedcons is reserved: Options.Policy == "" (or
-// "fedcons") selects the paper's strict algorithm directly, never through the
-// registry, so the default path cannot be perturbed by registration.
+// Policy names. Options.Policy == "" (or "fedcons") selects the paper's
+// strict algorithm; allocations it produces carry the tag "".
 const (
 	PolicyFedcons     = "fedcons"
 	PolicySemi        = "semi"
@@ -52,93 +47,144 @@ const (
 	PolicyTyped       = "typed"
 )
 
-// ScheduleFunc is the signature of a strict-FEDCONS scheduler. Policies
-// receive one as their fallback; ScheduleWith builds it from the caller's
-// Sizer, so a memoizing caller (the service layer) keeps its memo there.
-type ScheduleFunc func(sys task.System, m int, opt Options) (*Allocation, error)
-
-// Policy is one pluggable admission strategy. Schedule must be a pure
-// function of its arguments: same inputs, byte-identical Allocation. The
-// fallback is the strict FEDCONS scheduler of the calling layer; policies
-// that try a split-shape allocation first and fall back on failure guarantee
-// pointwise acceptance dominance over the paper's algorithm. Implementations
-// must clear opt.Policy before invoking the fallback.
-type Policy interface {
-	// Name is the registry key (the -policy flag vocabulary).
-	Name() string
-	// Schedule runs the policy's admission test.
-	Schedule(sys task.System, m int, opt Options, fallback ScheduleFunc) (*Allocation, error)
+// policy is one row of the policy table. An allocation's Policy tag names
+// its row, so the auditor reads the same row as the scheduler that made it.
+type policy struct {
+	// span names the root trace span of the policy's own attempt.
+	span string
+	// size is a split policy's Phase-1 step. The strict row sizes through
+	// the caller's Sizer (MINPROCS) and the typed row through MinprocsTyped,
+	// so both leave it nil.
+	size SizeFunc
+	// shape spells the allocation shape in audit error texts ("a strict
+	// allocation").
+	shape string
+	// split: reservation servers are allowed, and dedicated grants carry no
+	// template schedule (otherwise servers are forbidden and every grant
+	// carries one). A split policy's failure retries strict FEDCONS.
+	split bool
+	// oneServer: every served task has exactly one server.
+	oneServer bool
+	// noDedicated: no dedicated-processor grants.
+	noDedicated bool
+	// typed: per-type budgets are required, and mixed-type tasks need
+	// dedicated service at any density (see dedicated).
+	typed bool
 }
 
-// policies is the registry. Registration happens in package init functions
-// (each policy package registers itself); it is not safe for concurrent use.
-var policies = make(map[string]Policy)
-
-// RegisterPolicy adds a policy to the registry. It panics on an empty or
-// duplicate name, or on the reserved name "fedcons" — programmer errors
-// caught at init time.
-func RegisterPolicy(p Policy) {
-	name := p.Name()
-	if name == "" {
-		panic("core: RegisterPolicy with empty name")
-	}
-	if name == PolicyFedcons {
-		panic("core: RegisterPolicy cannot override the built-in fedcons policy")
-	}
-	if _, dup := policies[name]; dup {
-		panic(fmt.Sprintf("core: RegisterPolicy called twice for %q", name))
-	}
-	policies[name] = p
+// policies is the closed policy table, keyed by allocation tag; any other
+// tag fails the audit. Strict FEDCONS has the empty tag.
+var policies = map[string]policy{
+	"":                {span: "fedcons", shape: "strict"},
+	PolicySemi:        {span: "semifed", size: semiSize, shape: "semi-shape", split: true, oneServer: true},
+	PolicyReservation: {span: "reservation", size: reservationSize, shape: "reservation-shape", split: true, noDedicated: true},
+	PolicyTyped:       {span: "typedfed", shape: "typed", typed: true},
 }
 
-// LookupPolicy returns the named registered policy.
-func LookupPolicy(name string) (Policy, error) {
-	p, ok := policies[name]
-	if !ok {
-		return nil, fmt.Errorf("fedcons: unknown policy %q (have %s)", name, policyVocabulary())
+// dedicated reports whether tk needs dedicated service under this row:
+// every high-density task (as in strict FEDCONS), and under the typed shape
+// also any task whose vertices span more than one processor type — a
+// mixed-type task cannot be collapsed to a sporadic task on a single shared
+// processor, so Phase 2 cannot place it regardless of density.
+func (p policy) dedicated(tk *task.DAGTask) bool {
+	if tk.HighDensity() {
+		return true
 	}
-	return p, nil
+	if !p.typed {
+		return false
+	}
+	_, uniform := tk.G.UniformType()
+	return !uniform
 }
 
-// PolicyNames returns the registered policy names, sorted.
+// NeedsDedicated reports whether tk needs dedicated service (a grant or
+// reservation servers) in an allocation tagged policy, rather than a place
+// in the Phase-2 partition. An unknown tag answers as the strict shape.
+func NeedsDedicated(policy string, tk *task.DAGTask) bool {
+	return policies[policy].dedicated(tk)
+}
+
+// RetriesStrict reports whether the policy behind allocations tagged policy
+// falls back to strict FEDCONS when its own attempt fails, so that its
+// Phase-2 failure is not final: true for the split shapes, false for strict
+// and typed (a typed-shape allocation exists only on a platform with more
+// than one populated type, where the typed policy has no fallback).
+func RetriesStrict(policy string) bool {
+	return policies[policy].split
+}
+
+// PolicyNames returns the policy names other than fedcons, sorted.
 func PolicyNames() []string {
 	out := make([]string, 0, len(policies))
 	for name := range policies {
-		out = append(out, name)
+		if name != "" {
+			out = append(out, name)
+		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// policyVocabulary renders the accepted -policy values for error messages.
-func policyVocabulary() string {
-	s := PolicyFedcons
-	for _, name := range PolicyNames() {
-		s += ", " + name
-	}
-	return s
-}
-
 // NormalizePolicy canonicalizes a policy name: "" and "fedcons" normalize to
-// "" (the strict default); any registered name passes through; anything else
-// is an error.
+// "" (the strict default); any other name in the table passes through;
+// anything else is an error.
 func NormalizePolicy(name string) (string, error) {
-	if name == "" || name == PolicyFedcons {
+	if name == PolicyFedcons {
 		return "", nil
 	}
-	if _, err := LookupPolicy(name); err != nil {
-		return "", err
+	if _, ok := policies[name]; !ok {
+		s := PolicyFedcons
+		for _, n := range PolicyNames() {
+			s += ", " + n
+		}
+		return "", fmt.Errorf("fedcons: unknown policy %q (have %s)", name, s)
 	}
 	return name, nil
 }
 
-// Window exposes the dag-job scheduling window min(D_i, T_i) to policy
-// implementations and the service layer.
+// ScheduleWith is Schedule with the strict shape's MINPROCS step built by
+// strict, both on the default path and in a policy's strict fallback. A
+// caller that memoizes Phase 1 (the service layer) passes its own Sizer;
+// the output must then be exactly Schedule's.
+//
+// A split policy tries its own shape first and falls back to strict FEDCONS
+// on any failure, so its acceptance dominates the paper's algorithm
+// pointwise; only the strict path's error surfaces when both fail. The
+// typed policy has no fallback — the strict algorithm is not defined on a
+// typed platform — except on a single-type platform with an untyped
+// workload, where the typed model is the paper's and strict FEDCONS is the
+// whole analysis.
+func ScheduleWith(sys task.System, m int, opt Options, strict Sizer) (*Allocation, error) {
+	name, err := NormalizePolicy(opt.Policy)
+	if err != nil {
+		return nil, err
+	}
+	if err := validateInput(sys, m, opt); err != nil {
+		return nil, err
+	}
+	switch p := policies[name]; {
+	case p.split:
+		if alloc, err := twoPhase(sys, m, opt, name, p.span, p.size); err == nil {
+			return alloc, nil
+		}
+	case p.typed:
+		if err := CheckMTypes(opt.MTypes, m); err != nil {
+			return nil, err
+		}
+		if sys.Typed() || !singleType(opt.MTypes) {
+			return scheduleTyped(sys, m, opt, p.span)
+		}
+	}
+	opt.Policy, opt.MTypes = "", nil
+	return twoPhase(sys, m, opt, "", policies[""].span, strict(sys, opt))
+}
+
+// Window exposes the dag-job scheduling window min(D_i, T_i) to the service
+// layer.
 func Window(tk *task.DAGTask) Time { return window(tk) }
 
-// ValidateInput is Schedule's input check, exported so a policy rejects
-// malformed input with the same errors as the strict path.
-func ValidateInput(sys task.System, m int, opt Options) error {
+// validateInput is Schedule's input check, shared by every policy.
+func validateInput(sys task.System, m int, opt Options) error {
 	if err := sys.Validate(); err != nil {
 		return err
 	}
@@ -149,6 +195,61 @@ func ValidateInput(sys task.System, m int, opt Options) error {
 		return fmt.Errorf("fedcons: par must be ≥ 0, got %d", opt.Par)
 	}
 	return nil
+}
+
+// semiSize is the semi-federated Phase-1 step (Jiang et al.). Strict
+// federation rounds the grant of a high-density task up to whole
+// processors; the semi split grants d dedicated processors plus one server
+// of budget E ≤ w. With r = d + 1 reservation units the service condition
+// above reads d·w + E ≥ vol + d·len; the smallest d with a feasible budget
+// is d = ⌈(vol − w)/(w − len)⌉ with E = vol − d·(w − len), which meets the
+// condition with equality and keeps 1 ≤ E ≤ w. A task of density exactly 1
+// (vol = w) becomes a single server of budget w. The step fails when no
+// split exists (len ≥ w with vol > w: the critical path fills the window,
+// so no finite budget closes the gap) or when d exceeds the m_r remaining.
+func semiSize(_ int, tk *task.DAGTask, mr int, sp *obs.Span) (Grant, bool) {
+	vol, l, w := tk.Volume(), tk.Len(), window(tk)
+	d, budget := Time(0), w
+	if vol > w {
+		if l >= w {
+			return Grant{}, false
+		}
+		d = (vol - w + (w - l) - 1) / (w - l) // ⌈(vol−w)/(w−l)⌉ ≥ 1
+		budget = vol - d*(w-l)
+	}
+	if d > Time(mr) {
+		return Grant{}, false
+	}
+	sp.Int("dedicated", int64(d)).Int("budget", int64(budget))
+	return Grant{Procs: int(d), Servers: 1, Budget: budget}, true
+}
+
+// reservationSize is the reservation-based Phase-1 step (Ueter et al.): r
+// equal servers of budget E and no dedicated processor, so Phase 2
+// partitions the servers over the whole platform. With the equal-budget
+// service condition r·E ≥ vol + (r − 1)·len and E ≤ w, the minimal count is
+// r = ⌈(vol − len)/(w − len)⌉ (r = 1 when vol ≤ w) with
+// E = ⌈(vol + (r − 1)·len)/r⌉. Minimality of r guarantees E ≤ w:
+// r·(w − len) ≥ vol − len rearranges to (vol + (r − 1)·len)/r ≤ w, and w is
+// an integer, so the ceiling cannot exceed it. The step fails when no
+// reservation system exists (len ≥ w with vol > w).
+func reservationSize(_ int, tk *task.DAGTask, _ int, sp *obs.Span) (Grant, bool) {
+	vol, l, w := tk.Volume(), tk.Len(), window(tk)
+	r, budget := Time(1), w
+	if vol > w {
+		if l >= w {
+			return Grant{}, false
+		}
+		r = (vol - l + (w - l) - 1) / (w - l) // ⌈(vol−len)/(w−len)⌉ ≥ 2 here
+		budget = (vol + (r-1)*l + r - 1) / r  // ⌈(vol+(r−1)·len)/r⌉
+		if budget > w {
+			// Unreachable by minimality of r; kept so a future sizing
+			// change cannot emit an unverifiable allocation.
+			return Grant{}, false
+		}
+	}
+	sp.Int("servers", int64(r)).Int("budget", int64(budget))
+	return Grant{Servers: int(r), Budget: budget}, true
 }
 
 // ServerSpec is one reservation server of a split-shape allocation: a budget

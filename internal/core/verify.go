@@ -26,11 +26,11 @@ import (
 //     processor under the QPA test.
 //
 // The allocation's shape tag (a.Policy) selects the extra conditions of the
-// split and typed shapes from one table (see shapes): the Ueter service
-// inequality for reservation servers, and per-type budgets and type-correct
-// processor mappings for typed allocations. Each shape rejects every field it
-// does not use, so a dedicated-only verifier can never be talked into
-// accepting a fractional grant.
+// split and typed shapes from the policy table (see policies): the Ueter
+// service inequality for reservation servers, and per-type budgets and
+// type-correct processor mappings for typed allocations. Each shape rejects
+// every field it does not use, so a dedicated-only verifier can never be
+// talked into accepting a fractional grant.
 //
 // Verify is the auditor used by tests, experiments and cmd/fedsched.
 func Verify(sys task.System, m int, a *Allocation) error {
@@ -71,70 +71,11 @@ func VerifyDelta(sys task.System, m int, a *Allocation, baseSys task.System, bas
 	return audit(sys, m, a, baseSys, base)
 }
 
-// shape is what an allocation's Policy tag commits it to.
-type shape struct {
-	// name spells the shape in error texts ("a strict allocation").
-	name string
-	// split: reservation servers are allowed, and dedicated grants carry no
-	// template schedule (otherwise servers are forbidden and every grant
-	// carries one).
-	split bool
-	// oneServer: every served task has exactly one server.
-	oneServer bool
-	// noDedicated: no dedicated-processor grants.
-	noDedicated bool
-	// typed: per-type budgets are required, and mixed-type tasks need
-	// dedicated service at any density (see dedicated).
-	typed bool
-}
-
-// dedicated reports whether tk needs dedicated service under this shape:
-// every high-density task (as in strict FEDCONS), and under the typed shape
-// also any task whose vertices span more than one processor type — a
-// mixed-type task cannot be collapsed to a sporadic task on a single shared
-// processor, so Phase 2 cannot place it regardless of density.
-func (s shape) dedicated(tk *task.DAGTask) bool {
-	if tk.HighDensity() {
-		return true
-	}
-	if !s.typed {
-		return false
-	}
-	_, uniform := tk.G.UniformType()
-	return !uniform
-}
-
-// NeedsDedicated reports whether tk needs dedicated service (a grant or
-// reservation servers) in an allocation tagged policy, rather than a place
-// in the Phase-2 partition. An unknown tag answers as the strict shape.
-func NeedsDedicated(policy string, tk *task.DAGTask) bool {
-	return shapes[policy].dedicated(tk)
-}
-
-// RetriesStrict reports whether the policy behind allocations tagged policy
-// falls back to strict FEDCONS when its own attempt fails, so that its
-// Phase-2 failure is not final: true for the split shapes, false for strict
-// and typed (a typed-shape allocation exists only on a platform with more
-// than one populated type, where typedfed has no fallback).
-func RetriesStrict(policy string) bool {
-	return shapes[policy].split
-}
-
-// shapes maps every allocation tag to its shape; any other tag fails the
-// audit. The split shapes are Jiang et al.'s semi-federated scheduling and
-// Ueter et al.'s reservation-based federated scheduling (see policy.go).
-var shapes = map[string]shape{
-	"":                {name: "strict"},
-	PolicySemi:        {name: "semi-shape", split: true, oneServer: true},
-	PolicyReservation: {name: "reservation-shape", split: true, noDedicated: true},
-	PolicyTyped:       {name: "typed", typed: true},
-}
-
 // audit is the one allocation auditor behind Verify (base == nil) and
 // VerifyDelta (a verified base of the same shape, platform and grant and
 // server counts; see VerifyDelta for what it may skip).
 func audit(sys task.System, m int, a *Allocation, baseSys task.System, base *Allocation) error {
-	s, ok := shapes[a.Policy]
+	s, ok := policies[a.Policy]
 	if !ok {
 		return fmt.Errorf("fedcons: allocation tagged with unknown policy %q", a.Policy)
 	}
@@ -142,10 +83,10 @@ func audit(sys task.System, m int, a *Allocation, baseSys task.System, base *All
 		return fmt.Errorf("fedcons: allocation for m=%d, want %d", a.M, m)
 	}
 	if !s.split && len(a.Servers) > 0 {
-		return fmt.Errorf("fedcons: a %s allocation must not carry reservation servers, found %d", s.name, len(a.Servers))
+		return fmt.Errorf("fedcons: a %s allocation must not carry reservation servers, found %d", s.shape, len(a.Servers))
 	}
 	if s.noDedicated && len(a.High) > 0 {
-		return fmt.Errorf("fedcons: a %s allocation grants no dedicated processors, found %d grants", s.name, len(a.High))
+		return fmt.Errorf("fedcons: a %s allocation grants no dedicated processors, found %d grants", s.shape, len(a.High))
 	}
 	// typeBase is the type-major processor numbering of a typed platform:
 	// type t owns the global ids [typeBase[t], typeBase[t+1]).
@@ -166,7 +107,7 @@ func audit(sys task.System, m int, a *Allocation, baseSys task.System, base *All
 		}
 		typeBase = listsched.TypedProcBase(a.MTypes)
 	} else if len(a.MTypes) > 0 {
-		return fmt.Errorf("fedcons: a %s allocation must not carry per-type processor budgets", s.name)
+		return fmt.Errorf("fedcons: a %s allocation must not carry per-type processor budgets", s.shape)
 	}
 
 	owned := make([]bool, m)
@@ -196,7 +137,7 @@ func audit(sys task.System, m int, a *Allocation, baseSys task.System, base *All
 			// A split grant is dispatched work-conservingly inside its
 			// reservations; the service inequality below is its certificate.
 			if h.Template != nil {
-				return fmt.Errorf("fedcons: task %d: a %s grant must not carry a template schedule", h.TaskIndex, s.name)
+				return fmt.Errorf("fedcons: task %d: a %s grant must not carry a template schedule", h.TaskIndex, s.shape)
 			}
 			supply[h.TaskIndex].d = len(h.Procs)
 		} else {
@@ -271,7 +212,7 @@ func audit(sys task.System, m int, a *Allocation, baseSys task.System, base *All
 			continue
 		}
 		if s.oneServer && v.n != 1 {
-			return fmt.Errorf("fedcons: %s task %d has %d servers, want exactly 1", s.name, i, v.n)
+			return fmt.Errorf("fedcons: %s task %d has %d servers, want exactly 1", s.shape, i, v.n)
 		}
 		tk := sys[i]
 		got := Time(v.d)*window(tk) + v.e

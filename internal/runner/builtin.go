@@ -8,12 +8,6 @@ import (
 	"fedsched/internal/partition"
 	"fedsched/internal/sim"
 	"fedsched/internal/task"
-
-	// Register the pluggable admission policies the analyzers below select
-	// by name.
-	_ "fedsched/internal/reservation"
-	_ "fedsched/internal/semifed"
-	_ "fedsched/internal/typedfed"
 )
 
 // Built-in analyzers: FEDCONS in both MINPROCS modes and its partition-phase

@@ -9,12 +9,6 @@ import (
 
 	"fedsched/internal/core"
 	"fedsched/internal/obs"
-
-	// Every server links the pluggable admission policies, so a shard can
-	// recover a WAL written under any of them.
-	_ "fedsched/internal/reservation"
-	_ "fedsched/internal/semifed"
-	_ "fedsched/internal/typedfed"
 )
 
 // Config parameterizes a Server. The zero value of a field selects its
@@ -135,6 +129,9 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("service: %v", err)
 	}
 	cfg.Options.Policy = pol
+	if err := core.CheckMTypes(cfg.Options.MTypes, cfg.M); err != nil {
+		return nil, fmt.Errorf("service: %v", err)
+	}
 	if cfg.QueueBound == 0 {
 		cfg.QueueBound = 64
 	}

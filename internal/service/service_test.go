@@ -387,4 +387,8 @@ func TestServerRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{M: 2, AdmitTimeout: -time.Second}); err == nil {
 		t.Error("accepted negative admission timeout")
 	}
+	typed := core.Options{Policy: core.PolicyTyped, MTypes: []int{2, 2}}
+	if _, err := New(Config{M: 8, Options: typed}); err == nil || !strings.Contains(err.Error(), "sum to 4, want m=8") {
+		t.Errorf("per-type budgets summing to 4 on m=8: got %v, want the sum refused", err)
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -137,6 +138,7 @@ func newShard(id int, cfg Config) (*Shard, error) {
 			return nil, fmt.Errorf("shard %d: %w", id, err)
 		}
 		s.store = st
+		st.SetMTypes(cfg.Options.MTypes)
 		if err := s.recover(rec); err != nil {
 			st.Close()
 			return nil, fmt.Errorf("shard %d: %w", id, err)
@@ -162,12 +164,16 @@ func (s *Shard) recover(rec *store.Recovery) error {
 	if rec.M != 0 && rec.M != s.cfg.M {
 		return fmt.Errorf("wal-dir holds a system admitted against m=%d, daemon configured with m=%d; refusing to reinterpret it", rec.M, s.cfg.M)
 	}
-	// The policy is recorded alongside M in the snapshot, so the check shares
-	// its gate: a WAL-only recovery (no snapshot yet, rec.M == 0) carries no
-	// policy record to compare against.
+	// The policy and the per-type budgets are recorded alongside M in the
+	// snapshot, so their checks share its gate: a WAL-only recovery (no
+	// snapshot yet, rec.M == 0) carries no record to compare against.
 	if rec.M != 0 && rec.Policy != s.cfg.Options.Policy {
 		return fmt.Errorf("wal-dir holds a system admitted under -policy=%s, daemon configured with -policy=%s; refusing to reinterpret it",
 			policyLabel(rec.Policy), policyLabel(s.cfg.Options.Policy))
+	}
+	if rec.M != 0 && !slices.Equal(rec.MTypes, s.cfg.Options.MTypes) {
+		return fmt.Errorf("wal-dir holds a system admitted under -m-types=%q, daemon configured with -m-types=%q; refusing to reinterpret it",
+			core.FormatMTypes(rec.MTypes), core.FormatMTypes(s.cfg.Options.MTypes))
 	}
 	for i, tk := range rec.Tasks {
 		if h := s.cache.hashOf(tk).String(); h != rec.Hashes[i] {

@@ -20,8 +20,8 @@ import (
 //     low-density tasks;
 //   - the typed shape has one bank per processor type, over that type's
 //     leftover processors: a uniformly type-t low-density task is admitted
-//     to, or removed from, bank t alone, exactly as typedfed's per-type
-//     Phase 2 would re-partition it.
+//     to, or removed from, bank t alone, exactly as the typed policy's
+//     per-type Phase 2 would re-partition it.
 //
 // Everything that could diverge from a from-scratch analysis falls back to
 // it:

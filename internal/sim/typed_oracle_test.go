@@ -19,8 +19,6 @@ import (
 	"fedsched/internal/sim"
 	"fedsched/internal/sim/reference"
 	"fedsched/internal/task"
-
-	_ "fedsched/internal/typedfed"
 )
 
 // typedOracleSystem is oracleSystem with every vertex independently

@@ -206,6 +206,7 @@ func refDecodeSnapshot(data []byte) (*Snapshot, error) {
 
 func sameSnapshot(a, b *Snapshot) bool {
 	return a.Format == b.Format && a.Seq == b.Seq && a.M == b.M && a.Policy == b.Policy &&
+		(a.MTypes == nil) == (b.MTypes == nil) && slices.Equal(a.MTypes, b.MTypes) &&
 		(a.CacheKeys == nil) == (b.CacheKeys == nil) && slices.Equal(a.CacheKeys, b.CacheKeys) &&
 		sameTasks(a.Tasks, b.Tasks)
 }
@@ -231,6 +232,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte(`{"format":1,"seq":0,"m":4,"tasks":null,"cacheKeys":null}`))
 	f.Add([]byte(`{"format":1,"seq":-0,"m":4,"tasks":[],"cacheKeys":[]}`))
 	f.Add([]byte(`{"format":2,"seq":0,"m":0,"tasks":[],"cacheKeys":["x"]}`))
+	f.Add([]byte(strings.Replace(string(golden), `"tasks"`, `"mtypes": [4, 0, 2], "tasks"`, 1)))
+	f.Add([]byte(`{"format":1,"seq":0,"m":4,"mtypes":[],"tasks":[],"cacheKeys":[]}`))
+	f.Add([]byte(`{"format":1,"seq":0,"m":4,"mtypes":null,"tasks":[],"cacheKeys":[]}`))
+	f.Add([]byte(`{"format":1,"seq":0,"m":4,"mtypes":[-0,1.0],"tasks":[],"cacheKeys":[]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ref, refErr := refDecodeSnapshot(data)
 		if fast, ok := decodeSnapshotWire(data); ok {

@@ -34,6 +34,12 @@ type Snapshot struct {
 	// for the same reason as an M mismatch. omitempty keeps fedcons snapshots
 	// byte-identical to the pre-policy format, so old snapshots read as "".
 	Policy string `json:"policy,omitempty"`
+	// MTypes are the per-type processor budgets of a typed platform
+	// (-m-types). A daemon restarted with different budgets is refused for
+	// the same reason as an M mismatch. omitempty keeps every other
+	// snapshot byte-identical to the format before the key, so old
+	// snapshots read as no budgets.
+	MTypes []int `json:"mtypes,omitempty"`
 	// Tasks is the installed system in installation order.
 	Tasks task.System `json:"tasks"`
 	// CacheKeys are the content hashes (core.TaskHash hex) of Tasks, index
@@ -84,8 +90,8 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 }
 
 // decodeSnapshotWire reads a snapshot in the canonical wire subset: exact
-// keys, each at most once, a seq of at most 18 digits with no sign, format
-// and m no larger than int holds, plain strings (package wire), and tasks
+// keys, each at most once, a seq of at most 18 digits with no sign, format,
+// m and the mtypes entries no larger than int holds, plain strings (package wire), and tasks
 // in task.DecodeWire's subset. It reports false for any other input, and
 // for a task that fails validation. The checks after decoding are
 // DecodeSnapshot's, whichever path ran.
@@ -109,6 +115,14 @@ func decodeSnapshotWire(data []byte) (*Snapshot, bool) {
 			ok = integer(&snap.M)
 		case string(key) == "policy" && seen.first(8):
 			snap.Policy, ok = s.String()
+		case string(key) == "mtypes" && seen.first(64):
+			snap.MTypes = []int{} // encoding/json decodes [] to an empty slice
+			ok = s.Array(func() bool {
+				var x int
+				ok := integer(&x)
+				snap.MTypes = append(snap.MTypes, x)
+				return ok
+			})
 		case string(key) == "tasks" && seen.first(16):
 			snap.Tasks, ok = task.DecodeWireList(s)
 		case string(key) == "cacheKeys" && seen.first(32):

@@ -19,6 +19,7 @@ const DefaultSnapshotEvery = 256
 // concurrently (the metrics endpoint samples it).
 type Store struct {
 	dir       string
+	mtypes    []int // per-type budgets recorded in every snapshot
 	wal       *WAL
 	seq       atomic.Uint64 // last logged mutation
 	every     int           // mutations between snapshots
@@ -34,6 +35,7 @@ type Recovery struct {
 	Hashes []string
 	M      int
 	Policy string // admission policy recorded in the snapshot ("" = fedcons)
+	MTypes []int  // per-type processor budgets recorded in the snapshot
 	Seq    uint64
 }
 
@@ -75,6 +77,7 @@ func replay(snap *Snapshot, recs []Record) (*Recovery, error) {
 		rec.Hashes = append([]string(nil), snap.CacheKeys...)
 		rec.M = snap.M
 		rec.Policy = snap.Policy
+		rec.MTypes = snap.MTypes
 		rec.Seq = snap.Seq
 	}
 	byName := make(map[string]int, len(rec.Tasks))
@@ -163,10 +166,14 @@ func (s *Store) MaybeSnapshot(sys task.System, keys []string, m int, policy stri
 	return true, s.Snapshot(sys, keys, m, policy)
 }
 
+// SetMTypes sets the per-type processor budgets every later snapshot
+// records beside m and the policy (none by default).
+func (s *Store) SetMTypes(mtypes []int) { s.mtypes = mtypes }
+
 // Snapshot unconditionally checkpoints the installed system and truncates
 // the WAL.
 func (s *Store) Snapshot(sys task.System, keys []string, m int, policy string) error {
-	snap := &Snapshot{Format: snapshotFormat, Seq: s.seq.Load(), M: m, Policy: policy, Tasks: sys, CacheKeys: keys}
+	snap := &Snapshot{Format: snapshotFormat, Seq: s.seq.Load(), M: m, Policy: policy, MTypes: s.mtypes, Tasks: sys, CacheKeys: keys}
 	if err := writeSnapshot(s.dir, snap); err != nil {
 		return err
 	}
