@@ -79,8 +79,8 @@ func explainPhase1(out io.Writer, p1 *obs.Span) {
 			continue
 		}
 		if start, ok := tsp.Lookup("scan_start"); ok {
-			fmt.Fprintf(out, "      scan μ = %d..%d (⌈δ⌉=%d, width=%d, %d processors remaining)\n",
-				start.Int64(), attrInt(tsp, "limit"), start.Int64(), attrInt(tsp, "width"), attrInt(tsp, "remaining"))
+			fmt.Fprintf(out, "      scan μ = %d..%d (⌈δ⌉=%d, cap=%d, %d processors remaining)\n",
+				start.Int64(), attrInt(tsp, "limit"), start.Int64(), attrInt(tsp, "cap"), attrInt(tsp, "remaining"))
 		}
 		for _, mu := range tsp.Children() {
 			if mu.Name() != "mu" {

@@ -268,11 +268,26 @@ func Minprocs(tk *task.DAGTask, mr int, prio listsched.Priority) (mu int, tmpl *
 }
 
 // MinprocsTrace is Minprocs with an optional decision-trace span: when sp is
-// non-nil it records the scan window (scan_start, width, limit, remaining)
+// non-nil it records the scan window (scan_start, cap, limit, remaining)
 // and one "mu" child per candidate tried, carrying the LS makespan and the
 // Lemma-1 bound len + (vol − len)/μ. A nil sp skips every trace computation.
 func MinprocsTrace(tk *task.DAGTask, mr int, prio listsched.Priority, sp *obs.Span) (mu int, tmpl *listsched.Schedule, ok bool) {
 	return minprocsTrace(tk, mr, sp, liveRunner(tk, prio))
+}
+
+// scanCap returns the μ at which the Fig. 3 scan of a task with
+// len ≤ min(D,T) is certain to have succeeded: min(|V|, μ_A), where μ_A is
+// analyticMu's closed form. By Lemma 1 LS meets the window on μ_A
+// processors, and on |V| processors no job ever waits, so the makespan is
+// len. The first successful μ therefore never lies past the cap, and a scan
+// stopped there returns the same μ and template as an uncapped one. When
+// analyticMu has no slack to work with (len == D), the cap is |V| alone.
+func scanCap(tk *task.DAGTask) int {
+	n := tk.G.N()
+	if mu, reason := analyticMu(tk); reason == "" && mu < n {
+		return mu
+	}
+	return n
 }
 
 // minprocsTrace is the scan body behind MinprocsTrace, with list scheduling
@@ -283,19 +298,10 @@ func minprocsTrace(tk *task.DAGTask, mr int, sp *obs.Span, ls lsRunner) (mu int,
 		sp.Str("reason", "critical-path-exceeds-window")
 		return 0, nil, false // no processor count can beat the critical path
 	}
-	start := scanStart(tk)
-	// Any set of simultaneously-running jobs is an antichain of G, so on
-	// Width(G) processors a work-conserving scheduler never delays an
-	// available job and the LS makespan equals len(G) ≤ d exactly. Scanning
-	// past the width is therefore pointless: cap the scan there (and since
-	// len ≤ d, the scan is guaranteed to succeed by μ = width if the budget
-	// allows it).
-	limit := mr
-	if w := tk.G.Width(); w < limit {
-		limit = w
-	}
+	start, c := scanStart(tk), scanCap(tk)
+	limit := min(mr, c)
 	if sp != nil {
-		sp.Int("scan_start", int64(start)).Int("width", int64(tk.G.Width())).
+		sp.Int("scan_start", int64(start)).Int("cap", int64(c)).
 			Int("limit", int64(limit)).Int("remaining", int64(mr))
 	}
 	for mu = start; mu <= limit; mu++ {

@@ -17,9 +17,9 @@ import (
 // given μ produces. The engine therefore splits the work:
 //
 //  1. Workers run the μ scan of every high-density task concurrently with an
-//     unbounded budget (the scan self-caps at the DAG width, where success is
-//     guaranteed whenever len ≤ min(D,T)), memoizing each listsched.Run
-//     result by μ.
+//     unbounded budget (the scan stops at scanCap, min(|V|, μ_A), where
+//     success is guaranteed whenever len ≤ min(D,T)), memoizing each
+//     listsched.Run result by μ.
 //  2. The ordinary sequential merge loop (twoPhase) re-runs the exact Fig. 2
 //     logic — including the m_r-bounded cutoff and every decision-trace span
 //     — but draws LS schedules from the memo instead of recomputing them.
@@ -37,7 +37,7 @@ import (
 // or re-cutting the scans themselves could change which μ wins.
 //
 // The speculative cost: a task whose scan the sequential path would have cut
-// at m_r < width may be scanned further (its excess candidates are simply
+// at m_r < scanCap may be scanned further (its excess candidates are simply
 // never replayed), and tasks after a Phase-1 failure are scanned even though
 // the merge loop stops at the failure. Both waste only wall-clock on
 // otherwise-idle cores, never change results.
@@ -95,8 +95,8 @@ func phase1Prefetch(sys task.System, opt Options) []lsRunner {
 }
 
 // prefetchTask precomputes the LS runs the merge loop can request for one
-// high-density task and wraps them as a memoized lsRunner with a live
-// fallback.
+// high-density task (the scan from ⌈δ⌉ up to scanCap, or the one analytic
+// candidate) and wraps them as a memoized lsRunner with a live fallback.
 func prefetchTask(tk *task.DAGTask, opt Options) lsRunner {
 	memo := map[int]lsResult{}
 	record := func(mu int) lsResult {
@@ -110,10 +110,10 @@ func prefetchTask(tk *task.DAGTask, opt Options) lsRunner {
 			record(mu)
 		}
 	} else if d := window(tk); tk.Len() <= d {
-		// The Fig. 3 scan, budget-unbounded: it self-caps at the DAG width,
-		// where LS achieves makespan len ≤ d, so termination is certain. The
-		// merge loop replays a prefix of exactly this candidate sequence.
-		for mu, w := scanStart(tk), tk.G.Width(); mu <= w; mu++ {
+		// The Fig. 3 scan, budget-unbounded: it stops at scanCap, by which
+		// LS is certain to meet the window. The merge loop replays a prefix
+		// of exactly this candidate sequence.
+		for mu, c := scanStart(tk), scanCap(tk); mu <= c; mu++ {
 			r := record(mu)
 			if r.err != nil || r.s.Makespan <= d {
 				break

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 )
 
 // Time is a point in, or duration of, discrete time, in abstract ticks.
@@ -51,20 +50,6 @@ type DAG struct {
 	succ  [][]int // succ[v] = sorted successor indices of v
 	pred  [][]int // pred[v] = sorted predecessor indices of v
 	m     int     // number of edges
-
-	// wmemo memoizes Width(): the Dilworth computation is by far the most
-	// expensive graph query (transitive closure + bipartite matching), the
-	// structure is immutable after Build, and Phase-1 analysis asks for the
-	// width of the same DAG from several goroutines. Held by pointer so the
-	// struct stays copyable (UnmarshalJSON assigns *g = *built); Build and
-	// Clone allocate a fresh memo for each new structure.
-	wmemo *widthMemo
-}
-
-// widthMemo is the once-guarded cache behind Width.
-type widthMemo struct {
-	once  sync.Once
-	width int
 }
 
 // N returns the number of vertices.
@@ -368,7 +353,6 @@ func (g *DAG) Clone() *DAG {
 		succ:  make([][]int, g.N()),
 		pred:  make([][]int, g.N()),
 		m:     g.m,
-		wmemo: &widthMemo{},
 	}
 	for v := range g.verts {
 		c.succ[v] = append([]int(nil), g.succ[v]...)
@@ -486,7 +470,6 @@ func (b *Builder) Build() (*DAG, error) {
 		verts: append([]Vertex(nil), b.verts...),
 		succ:  make([][]int, n),
 		pred:  make([][]int, n),
-		wmemo: &widthMemo{},
 	}
 	// Sort and deduplicate each successor list, packing the lists down to
 	// the front of adj; count in-degrees on the way.

@@ -14,22 +14,12 @@ import "math/bits"
 // v (the transitive closure). The matching is found with the standard
 // augmenting-path algorithm, O(|V|·E⁺) on the closure.
 //
-// Width is what caps the useful processor count for a single dag-job: any
-// set of simultaneously-running jobs is an antichain, so on Width(G)
-// processors a work-conserving scheduler never makes a job wait, and the LS
-// makespan collapses to len(G). MINPROCS uses this to bound its scan.
-//
-// The result is memoized on first call (the DAG is immutable after Build);
-// Width is safe to call concurrently.
+// On Width(G) processors a work-conserving scheduler never makes a job
+// wait, since any set of simultaneously-running jobs is an antichain, so
+// the LS makespan collapses to len(G). The cost is the closure and the
+// matching; callers that need only an upper bound on the useful processor
+// count should use |V| or Lemma 1 instead.
 func (g *DAG) Width() int {
-	if g.wmemo == nil { // zero-value DAG (never produced by Build)
-		return g.computeWidth()
-	}
-	g.wmemo.once.Do(func() { g.wmemo.width = g.computeWidth() })
-	return g.wmemo.width
-}
-
-func (g *DAG) computeWidth() int {
 	_, matched := maxChainMatching(g.closure())
 	return g.N() - matched
 }

@@ -14,6 +14,7 @@
 package service
 
 import (
+	"math"
 	"sync"
 
 	"fedsched/internal/core"
@@ -204,31 +205,30 @@ func runPool(workers, n int, fn func(i int)) {
 
 // minprocsTraced returns the platform-independent MINPROCS outcome for tk
 // under opt, computing and memoizing it on first sight, and reports whether
-// the memo already held it. For the LS scan the platform bound passed to
-// core.Minprocs is the DAG width: the scan caps there anyway, and (when
-// len ≤ min(D,T)) it is guaranteed to succeed by μ = width, so the result is
-// the true unbounded μ*. For the analytic rule the closed form is
-// independent of the platform, so any large bound works.
+// the memo already held it. The analysis runs with an unbounded processor
+// budget: the LS scan stops by itself where success is certain (core's
+// scan cap), and the analytic rule's closed form ignores the budget, so the
+// result is the true unbounded μ*.
 //
-// A traced miss (sp non-nil) first runs core's scan bounded by the mr
+// A traced miss (sp non-nil) first runs core's analysis bounded by the mr
 // processors remaining, recording exactly the span core.Schedule records;
-// its success is μ*, and only a failure below the bound needs the untraced
-// unbounded analysis. Untraced calls ignore mr.
+// its success is μ*, and only a failure needs the untraced unbounded
+// analysis. Untraced calls ignore mr.
 func (c *AnalysisCache) minprocsTraced(tk *task.DAGTask, opt core.Options, mr int, sp *obs.Span) (phase1Result, bool) {
 	h := c.hashOf(tk)
 	if res, ok := c.lookup(h, tk); ok {
 		return res, true
 	}
-	minprocs, bound := core.MinprocsTrace, tk.G.Width()
+	minprocs := core.MinprocsTrace
 	if opt.Minprocs == core.Analytic {
-		minprocs, bound = core.MinprocsAnalyticTrace, int(^uint(0)>>1)
+		minprocs = core.MinprocsAnalyticTrace
 	}
 	var res phase1Result
 	if sp != nil {
 		res.mu, res.tmpl, res.feasible = minprocs(tk, mr, opt.Priority, sp)
 	}
-	if !res.feasible && (sp == nil || mr < bound) {
-		res.mu, res.tmpl, res.feasible = minprocs(tk, bound, opt.Priority, nil)
+	if !res.feasible {
+		res.mu, res.tmpl, res.feasible = minprocs(tk, math.MaxInt, opt.Priority, nil)
 	}
 	c.store(h, tk, res)
 	return res, false
