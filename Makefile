@@ -81,10 +81,11 @@ oracle-race:
 	$(GO) test -race -run 'TestOracle' ./internal/sim/
 
 # The parallel Phase-1 engine's determinism pins under the race detector:
-# core's seed × worker-count differential matrix and the service-level
-# batch/incremental equivalence tests, cache-miss decision traces included.
+# core's seed × worker-count differential matrix, the scan-cap property
+# test's prefetch rows and the service-level batch/incremental equivalence
+# tests, cache-miss decision traces included.
 par-race:
-	$(GO) test -race -run 'TestSchedulePar|TestAdmitBatchParMatchesSequential|TestIncrementalMatchesBatch|TestMissTraceMatchesBatch' ./internal/core/ ./internal/service/
+	$(GO) test -race -run 'TestSchedulePar|TestScanCapMatchesWidthCap|TestAdmitBatchParMatchesSequential|TestIncrementalMatchesBatch|TestMissTraceMatchesBatch' ./internal/core/ ./internal/service/
 
 # The sharded-router and WAL/snapshot durability suite under the race
 # detector: pre-refactor golden differentials through the router, kill/restart

@@ -82,7 +82,7 @@ func TestScheduleTraceShape(t *testing.T) {
 
 func TestScheduleTracePhase1Rejection(t *testing.T) {
 	// Four independent jobs of 6, D = 11, T = 12: δ = 24/11 → scan starts at
-	// 3, capped at min(width 4, m_r 3) = 3, and μ = 3 gives makespan 12 > 11.
+	// 3, capped at min(scanCap 4, m_r 3) = 3, and μ = 3 gives makespan 12 > 11.
 	sys := task.System{task.MustNew("hot", dag.Independent(6, 6, 6, 6), 11, 12)}
 	rec := obs.New(obs.DefaultLimits)
 	if _, err := Schedule(sys, 3, Options{Trace: rec}); err == nil {

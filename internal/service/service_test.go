@@ -253,9 +253,11 @@ func TestConcurrentAdmitsRemovesReads(t *testing.T) {
 
 // slowTask builds a task whose MINPROCS analysis takes long enough to keep
 // the single-writer loop busy while the shedding test floods the queue.
+// Nearly all of it is the LS scan: the window leaves len only 10 ticks of
+// slack, so the scan runs 345 LS passes (μ = 99…443) over 5000 vertices.
 func slowTask(name string) *task.DAGTask {
 	r := rand.New(rand.NewSource(7))
-	const n = 5000 // ≈ 0.5 s of Width + MINPROCS work on a container core
+	const n = 5000 // ≈ 0.6 s of MINPROCS work on one core
 	b := dag.NewBuilder(n)
 	for i := 0; i < n; i++ {
 		b.AddJob(task.Time(1 + r.Intn(3)))

@@ -39,12 +39,13 @@ func coldTasks(n int) []*task.DAGTask {
 	return out
 }
 
-// BenchmarkColdKernels times each per-admit pass over a never-seen DAG on
-// its own: decoding the task's wire form, building the DAG from a vertex
-// and edge list, the canonical content hash, Width (the memo defeated by a
-// fresh Clone per call), and encoding the task back to JSON. Each iteration
-// runs the pass on one task of a 32-task cold-high-shaped corpus, in turn.
-// Run with -benchmem: allocations are half of what these passes cost.
+// BenchmarkColdKernels times each pass over a never-seen DAG on its own:
+// decoding the task's wire form, building the DAG from a vertex and edge
+// list, the canonical content hash, Width (the Dilworth closure and
+// matching; reports use it, admission does not), and encoding the task back
+// to JSON. Each iteration runs the pass on one task of a 32-task
+// cold-high-shaped corpus, in turn. Run with -benchmem: allocations are
+// half of what these passes cost.
 func BenchmarkColdKernels(b *testing.B) {
 	tasks := coldTasks(32)
 	bodies := make([][]byte, len(tasks))
@@ -112,19 +113,10 @@ func BenchmarkColdKernels(b *testing.B) {
 			sinkHash = core.TaskHash(tasks[i%len(tasks)])
 		}
 	})
-	clones := make([]*dag.DAG, 0, 64)
 	b.Run("width", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if i%64 == 0 {
-				b.StopTimer()
-				clones = clones[:0]
-				for k := 0; k < 64; k++ {
-					clones = append(clones, tasks[(i+k)%len(tasks)].G.Clone())
-				}
-				b.StartTimer()
-			}
-			sinkWidth = clones[i%64].Width()
+			sinkWidth = tasks[i%len(tasks)].G.Width()
 		}
 	})
 	b.Run("marshal", func(b *testing.B) {
