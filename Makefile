@@ -97,10 +97,12 @@ shard-race:
 # The incremental Phase-2 partition state's byte-identity harness under the
 # race detector: the seed × heuristic × admission-test differential matrix,
 # the Admit∘Remove inverse property, the core AdmitLow/RemoveLow/VerifyDelta
-# differentials, and the service twin-server walks (warm vs FullRepartition).
+# differentials (with FuzzVerifyAllocation's seed corpus, whose delta audits
+# cross high-density changes), and the service twin-server walks (warm vs
+# FullRepartition).
 partition-race:
 	$(GO) test -race -run 'TestPartitionState|TestState' ./internal/partition/
-	$(GO) test -race -run 'TestAdmitRemoveLow|TestRemoveLow|TestVerifyDelta' ./internal/core/
+	$(GO) test -race -run 'TestAdmitRemoveLow|TestRemoveLow|TestVerifyDelta|FuzzVerifyAllocation' ./internal/core/
 	$(GO) test -race -run 'TestWarmPath|TestServiceStateRandomWalk|TestEncodeFast' ./internal/service/
 
 # The admission-policy table under the race detector: the semi-federated

@@ -115,6 +115,9 @@ func procTypeOf(mtypes []int, p int) int {
 // local→global mapping, and a type's budget zeroed. Mutation 17 places an
 // out-of-range partition index (−1 on even seeds, one past the partitioned
 // tasks on odd ones) on a strict allocation's first shared processor.
+// Every mutation must also fail VerifyDelta against the clean allocation,
+// and deltaAgrees checks VerifyDelta against Verify on a task added and a
+// task removed.
 func FuzzVerifyAllocation(f *testing.F) {
 	for seed := uint32(0); seed < 4; seed++ {
 		for mut := uint8(0); mut < 17; mut++ {
@@ -170,6 +173,7 @@ func FuzzVerifyAllocation(f *testing.F) {
 		if err := Verify(sys, m, alloc); err != nil {
 			t.Fatalf("clean allocation failed Verify: %v", err)
 		}
+		deltaAgrees(t, sys, m, opt, alloc, typed, rand.New(rand.NewSource(^int64(seed))))
 		checkSys := sys
 
 		mutated := cloneAlloc(alloc)
@@ -290,5 +294,40 @@ func FuzzVerifyAllocation(f *testing.F) {
 		if err := Verify(checkSys, m, mutated); err == nil {
 			t.Fatalf("mutated allocation (%s, policy %q) passed Verify; seed=%d", desc, alloc.Policy, seed)
 		}
+		// The delta audit against the clean allocation must reject it too,
+		// whether the templates are private copies or, wherever unchanged,
+		// the clean allocation's own pointers (as the daemon's memo hands
+		// them back).
+		for _, a := range []*Allocation{mutated, shareTemplates(mutated, checkSys, alloc, sys)} {
+			if err := VerifyDelta(checkSys, m, a, sys, alloc); err == nil {
+				t.Fatalf("mutated allocation (%s, policy %q) passed VerifyDelta; seed=%d", desc, alloc.Policy, seed)
+			}
+		}
 	})
+}
+
+// deltaAgrees is the delta audit's differential: for the system with one
+// fuzz-drawn task more and with one task fewer, scheduled from scratch with
+// base's templates shared wherever a task kept its template, VerifyDelta
+// against base must give Verify's verdict.
+func deltaAgrees(t *testing.T, sys task.System, m int, opt Options, base *Allocation, typed bool, r *rand.Rand) {
+	t.Helper()
+	extra := fuzzSystem(r, 1)[0]
+	if typed {
+		extra = retypeSysForFuzz(r, task.System{extra}, 0.3)[0]
+	}
+	drop := r.Intn(len(sys))
+	more := append(sys.Clone(), task.MustNew("extra", extra.G, extra.D, extra.T))
+	fewer := append(sys[:drop].Clone(), sys[drop+1:]...)
+	for _, v := range []task.System{more, fewer} {
+		a, err := Schedule(v, m, opt)
+		if err != nil {
+			continue
+		}
+		a = shareTemplates(a, v, base, sys)
+		full, delta := Verify(v, m, a), VerifyDelta(v, m, a, sys, base)
+		if (full == nil) != (delta == nil) {
+			t.Fatalf("%d tasks → %d: Verify → %v, VerifyDelta → %v", len(sys), len(v), full, delta)
+		}
+	}
 }

@@ -489,25 +489,121 @@ func splitBase(t *testing.T, sys task.System, m int, policy string, procs []int,
 	return a, st
 }
 
-// TestVerifyDeltaRefusesHighChange: a mutation that alters the high-density
-// set is outside the delta audit's precondition and must be refused, not
-// partially audited.
-func TestVerifyDeltaRefusesHighChange(t *testing.T) {
-	sys := task.System{highTask("h", 2, 4, 5, 6), lowTask("a", 2, 8, 10)}
-	const m = 6
-	base, err := Schedule(sys, m, Options{})
+// shareTemplates returns a copy of a whose grants reuse base's template
+// pointer wherever base holds a grant of the same task with an equal
+// template — what the daemon's Phase-1 memo hands back for a task it has
+// analysed before. Every other template stays a private copy.
+func shareTemplates(a *Allocation, sys task.System, base *Allocation, baseSys task.System) *Allocation {
+	c := cloneAlloc(a)
+	for i := range c.High {
+		h := &c.High[i]
+		for _, b := range base.High {
+			if h.TaskIndex >= 0 && h.TaskIndex < len(sys) && sys[h.TaskIndex] == baseSys[b.TaskIndex] &&
+				reflect.DeepEqual(h.Template, b.Template) {
+				h.Template = b.Template
+			}
+		}
+	}
+	return c
+}
+
+// TestVerifyDeltaAcrossHighChange: the delta audit serves mutations that
+// change the high-density set, where processor numbering shifts under every
+// later grant. For each shape's base, with one high-density task added and
+// one removed, it must accept exactly what Verify accepts; on the template
+// shapes it must still validate a corrupted template on the new grant and a
+// base template moved onto another task, although the unchanged grants
+// share their templates with the base.
+func TestVerifyDeltaAcrossHighChange(t *testing.T) {
+	typedHigh := func(name string, types ...int) *task.DAGTask {
+		b := dag.NewBuilder(len(types))
+		for _, ty := range types {
+			b.AddTypedVertex("", 4, ty)
+		}
+		return task.MustNew(name, b.MustBuild(), 5, 6)
+	}
+	strictSys := task.System{highTask("h0", 2, 4, 5, 6), lowTask("a", 2, 8, 10), highTask("h1", 2, 3, 4, 6), lowTask("b", 3, 9, 12)}
+	for _, pc := range []struct {
+		policy string
+		mtypes []int
+		m      int
+		sys    task.System
+		add    *task.DAGTask
+	}{
+		{"", nil, 8, strictSys, highTask("h2", 3, 4, 5, 6)},
+		{PolicyTyped, []int{6, 6}, 12, task.System{typedHigh("h0", 0, 0, 1, 1), typedLowTask("a", 0, 2, 8, 10),
+			typedHigh("h1", 0, 1), typedLowTask("b", 1, 3, 9, 12)}, typedHigh("h2", 0, 0, 1)},
+		{PolicySemi, nil, 16, strictSys, highTask("h2", 3, 4, 5, 6)},
+		{PolicyReservation, nil, 16, strictSys, highTask("h2", 3, 4, 5, 6)},
+		// Too few processors for h2's semi split: the grown system falls
+		// back to the strict shape, so the delta also crosses a shape change.
+		{PolicySemi, nil, 12, strictSys, highTask("h2", 3, 4, 5, 6)},
+	} {
+		opt := Options{Policy: pc.policy, MTypes: pc.mtypes}
+		base, err := Schedule(pc.sys, pc.m, opt)
+		if err != nil {
+			t.Fatalf("%q base: %v", pc.policy, err)
+		}
+		if base.Policy != pc.policy {
+			t.Fatalf("%q base has shape %q", pc.policy, base.Policy)
+		}
+		if err := Verify(pc.sys, pc.m, base); err != nil {
+			t.Fatalf("%q base: %v", pc.policy, err)
+		}
+		// agree requires both audits to give the same verdict, want.
+		agree := func(label string, sys task.System, a *Allocation, want bool) {
+			t.Helper()
+			full, delta := Verify(sys, pc.m, a), VerifyDelta(sys, pc.m, a, pc.sys, base)
+			if (full == nil) != want || (delta == nil) != want {
+				t.Errorf("%q %s: Verify → %v, VerifyDelta → %v; want accepted=%v", pc.policy, label, full, delta, want)
+			}
+		}
+		grown := append(pc.sys.Clone(), pc.add)
+		shrunk := pc.sys[1:].Clone() // without h0: every later grant renumbers
+		var added *Allocation
+		for i, mu := range []struct {
+			label string
+			sys   task.System
+		}{{"add " + pc.add.Name, grown}, {"remove h0", shrunk}} {
+			a, err := Schedule(mu.sys, pc.m, opt)
+			if err != nil {
+				t.Fatalf("%q %s: %v", pc.policy, mu.label, err)
+			}
+			a = shareTemplates(a, mu.sys, base, pc.sys)
+			agree(mu.label, mu.sys, a, true)
+			if i == 0 {
+				added = a
+			}
+		}
+		if len(added.High) == 0 || added.High[0].Template == nil {
+			continue // a split shape: no template to corrupt or move
+		}
+		if base.High[0].Template != nil && added.High[0].Template != base.High[0].Template {
+			t.Fatalf("%q: the unchanged grant does not share its template with the base", pc.policy)
+		}
+		bad := shareTemplates(added, grown, base, pc.sys)
+		bad.High[len(bad.High)-1].Template.Intervals[0].End++ // a private copy
+		agree("corrupted template on the new grant", grown, bad, false)
+		// h0's and h1's templates as the base installed them; a split base
+		// has none, and the grown allocation's own stand in. The move goes
+		// both ways, so a walk that matched on the template alone would
+		// find the moved one ahead or behind.
+		src := base
+		if base.High[0].Template == nil {
+			src = added
+		}
+		for _, mv := range [][2]int{{0, 1}, {1, 0}} {
+			bad = shareTemplates(added, grown, base, pc.sys)
+			bad.High[mv[1]].Template = src.High[mv[0]].Template
+			agree(fmt.Sprintf("h%d's template moved onto h%d", mv[0], mv[1]), grown, bad, false)
+		}
+	}
+
+	base, err := Schedule(strictSys, 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grown := append(sys.Clone(), highTask("h2", 2, 4, 5, 6))
-	a, err := Schedule(grown, m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyDelta(grown, m, a, sys, base); err == nil {
-		t.Error("delta audit accepted a high-density count change")
-	}
-	if _, err := RemoveLow(base, rebuildState(t, sys, base, Options{}), 0); err == nil {
+	if _, err := RemoveLow(base, rebuildState(t, strictSys, base, Options{}), 0); err == nil {
 		t.Error("RemoveLow accepted a high-density index")
 	}
 }

@@ -34,47 +34,29 @@ import (
 //
 // Verify is the auditor used by tests, experiments and cmd/fedsched.
 func Verify(sys task.System, m int, a *Allocation) error {
+	return VerifyDelta(sys, m, a, nil, nil)
+}
+
+// VerifyDelta audits an allocation derived from base, an allocation with
+// Verify(baseSys, m, base) == nil whose templates have not been modified
+// since. It performs every check Verify performs, on every grant, server and
+// shared processor, and elides only the two expensive semantic re-checks
+// whose object base already passed:
+//
+//   - a template's Validate is skipped when the base grant of the same
+//     *task.DAGTask, found by walking both grant lists in task order, carried
+//     the same template pointer. Validate is a pure function of the immutable
+//     (template, DAG) pair, so renumbered processors, a policy change or a
+//     high-density task added or removed elsewhere cannot change its verdict,
+//     and a grant the walk does not match is simply validated again;
+//   - a shared processor's exact EDF test is skipped when it carries the
+//     identical workload in the identical order.
+//
+// With a nil base there is nothing to carry over and VerifyDelta is Verify.
+func VerifyDelta(sys task.System, m int, a *Allocation, baseSys task.System, base *Allocation) error {
 	if a == nil {
 		return fmt.Errorf("fedcons: nil allocation")
 	}
-	return audit(sys, m, a, nil, nil)
-}
-
-// VerifyDelta audits an allocation produced by AdmitLow/RemoveLow against the
-// mutated system, assuming Verify(baseSys, m, base) == nil for the state it
-// was derived from. It performs every check Verify performs, and elides only
-// the two expensive semantic re-checks where the audited object is provably
-// unchanged from its already-verified counterpart in base: a template's
-// validation is skipped when the (task, template, processors) triple is
-// pointer-identical, and a shared processor's exact EDF feasibility test is
-// skipped when it carries the identical workload in the identical order.
-// Anything not provably unchanged is re-verified; callers needing an
-// unconditional audit use Verify.
-//
-// The base and the new allocation must carry the same shape tag, platform
-// size and number of grants and servers: a policy or high-density change is a
-// full re-analysis, not a delta.
-func VerifyDelta(sys task.System, m int, a *Allocation, baseSys task.System, base *Allocation) error {
-	if a == nil || base == nil {
-		return fmt.Errorf("fedcons: nil allocation")
-	}
-	if a.Policy != base.Policy {
-		return fmt.Errorf("fedcons: delta audit across a policy change (%q → %q); use Verify", base.Policy, a.Policy)
-	}
-	if a.M != m || base.M != m {
-		return fmt.Errorf("fedcons: allocation for m=%d (base m=%d), want %d", a.M, base.M, m)
-	}
-	if len(a.High) != len(base.High) || len(a.Servers) != len(base.Servers) {
-		return fmt.Errorf("fedcons: delta audit across a high-density change (%d+%d → %d+%d grants); use Verify",
-			len(base.High), len(base.Servers), len(a.High), len(a.Servers))
-	}
-	return audit(sys, m, a, baseSys, base)
-}
-
-// audit is the one allocation auditor behind Verify (base == nil) and
-// VerifyDelta (a verified base of the same shape, platform and grant and
-// server counts; see VerifyDelta for what it may skip).
-func audit(sys task.System, m int, a *Allocation, baseSys task.System, base *Allocation) error {
 	s, ok := policies[a.Policy]
 	if !ok {
 		return fmt.Errorf("fedcons: allocation tagged with unknown policy %q", a.Policy)
@@ -117,6 +99,7 @@ func audit(sys task.System, m int, a *Allocation, baseSys task.System, base *All
 		supply = make([]reserved, len(sys))
 	}
 
+	next := 0 // the first base grant the template walk has not passed
 	for i := range a.High {
 		h := &a.High[i]
 		if h.TaskIndex < 0 || h.TaskIndex >= len(sys) {
@@ -154,7 +137,7 @@ func audit(sys task.System, m int, a *Allocation, baseSys task.System, base *All
 			}
 			// Validate also re-checks, per job, that a typed template's local
 			// processor lies in the job's type block of Template.MTypes.
-			if base == nil || !sameGrant(tk, h, baseSys, &base.High[i]) {
+			if !validated(tk, tm, baseSys, base, &next) {
 				if err := tm.Validate(tk.G); err != nil {
 					return fmt.Errorf("fedcons: task %d template invalid: %w", h.TaskIndex, err)
 				}
@@ -312,10 +295,19 @@ type reserved struct {
 	e    Time
 }
 
-// sameGrant reports whether grant h of task tk is the verified base grant b
-// unchanged: the same task, template and processors.
-func sameGrant(tk *task.DAGTask, h *HighAssignment, baseSys task.System, b *HighAssignment) bool {
-	return h.Template == b.Template && tk == baseSys[b.TaskIndex] && slices.Equal(h.Procs, b.Procs)
+// validated reports whether base already validated template tm for task tk:
+// the first base grant of tk at or after *next carries tm itself. The walk
+// moves *next past that grant, so grants listed in the same task order as
+// base's are matched in one forward pass; a grant of a task base does not
+// hold leaves *next in place.
+func validated(tk *task.DAGTask, tm *listsched.Schedule, baseSys task.System, base *Allocation, next *int) bool {
+	for k := *next; base != nil && k < len(base.High); k++ {
+		if b := &base.High[k]; b.TaskIndex >= 0 && b.TaskIndex < len(baseSys) && baseSys[b.TaskIndex] == tk {
+			*next = k + 1
+			return b.Template == tm
+		}
+	}
+	return false
 }
 
 // sameWorkload reports whether shared processor k carries the identical

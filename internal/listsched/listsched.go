@@ -22,7 +22,9 @@
 package listsched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"fedsched/internal/dag"
@@ -95,17 +97,24 @@ func (s *Schedule) Validate(g *dag.DAG) error {
 	if makespan != s.Makespan {
 		return fmt.Errorf("listsched: recorded makespan %d, actual %d", s.Makespan, makespan)
 	}
-	for _, per := range s.ByProcessor() {
-		for i := 1; i < len(per); i++ {
-			if per[i].Start < per[i-1].End {
-				return fmt.Errorf("listsched: processor %d overlap: %v then %v", per[i].Proc, per[i-1], per[i])
-			}
+	// One sorted copy stands in for ByProcessor: each processor's intervals,
+	// lowest processor first, by start and then by job (the order a stable
+	// sort of the job-indexed Intervals gives).
+	byProc := slices.Clone(s.Intervals)
+	slices.SortFunc(byProc, func(a, b Interval) int {
+		return cmp.Or(cmp.Compare(a.Proc, b.Proc), cmp.Compare(a.Start, b.Start), cmp.Compare(a.Job, b.Job))
+	})
+	for i := 1; i < len(byProc); i++ {
+		if prev, cur := byProc[i-1], byProc[i]; cur.Proc == prev.Proc && cur.Start < prev.End {
+			return fmt.Errorf("listsched: processor %d overlap: %v then %v", cur.Proc, prev, cur)
 		}
 	}
-	for _, e := range g.Edges() {
-		if s.Intervals[e[1]].Start < s.Intervals[e[0]].End {
-			return fmt.Errorf("listsched: precedence (%d→%d) violated: succ starts %d before pred ends %d",
-				e[0], e[1], s.Intervals[e[1]].Start, s.Intervals[e[0]].End)
+	for u, pred := range s.Intervals {
+		for _, v := range g.Successors(u) {
+			if succ := s.Intervals[v]; succ.Start < pred.End {
+				return fmt.Errorf("listsched: precedence (%d→%d) violated: succ starts %d before pred ends %d",
+					u, v, succ.Start, pred.End)
+			}
 		}
 	}
 	if len(s.MTypes) > 0 {

@@ -18,13 +18,14 @@ type BatchRequest struct {
 
 // AdmitBatch trial-admits every task in tks atomically: the full two-phase
 // FEDCONS test runs once on the current system plus the whole batch, the
-// resulting allocation is audited with core.Verify, and either all tasks are
-// installed or none is. A cold analysis fans its Phase-1 MINPROCS scans out
-// across the configured worker pool (Config.Options.Par); tasks the daemon
-// has analyzed before are served from the content-addressed memo. Statuses
-// mirror Admit: 200 installed, 409 rejected (duplicate name or analysis
-// failure; the body carries the Verdict for the trial system), 429 shed,
-// 504 deadline expired, 500 audit or WAL failure (state unchanged).
+// resulting allocation is audited with core.VerifyDelta, and either all
+// tasks are installed or none is. A cold analysis fans its Phase-1 MINPROCS
+// scans out across the configured worker pool (Config.Options.Par); tasks
+// the daemon has analyzed before are served from the content-addressed
+// memo. Statuses mirror Admit: 200 installed, 409 rejected (duplicate name
+// or analysis failure; the body carries the Verdict for the trial system),
+// 429 shed, 504 deadline expired, 500 audit or WAL failure (state
+// unchanged).
 func (s *Shard) AdmitBatch(ctx context.Context, tks []*task.DAGTask) (int, []byte) {
 	return s.AdmitBatchTrace(ctx, tks, s.nextTraceID(), nil)
 }

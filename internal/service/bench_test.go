@@ -75,10 +75,10 @@ func seededServer(b *testing.B, cfg Config, sys task.System) *Shard {
 //     (one complete two-phase FEDCONS run over all 51 tasks);
 //   - warm-full-repartition: one admit + one remove through a server running
 //     with Config.FullRepartition — Phase-1 analyses memoized, but every
-//     mutation re-runs Phase 2 from scratch and the full core.Verify audit;
+//     mutation re-runs Phase 2 from scratch;
 //   - warm-cache: the same pair through the default server — the low-density
-//     probe is served from the incremental partition.State with the
-//     delta-scoped audit, no batch re-analysis at all.
+//     probe is served from the incremental partition.State, no batch
+//     re-analysis at all.
 //
 // The acceptance bar (results/timing_admission.json) is the incremental warm
 // pair ≥ 10× faster than the full-repartition pair it replaced.

@@ -9,8 +9,9 @@
 // results are memoized in a content-addressed cache keyed by core.TaskHash,
 // so admitting or removing one task re-runs list scheduling only for DAGs
 // the server has never analyzed before, while the cheap Phase-2 partition is
-// always recomputed and every accepted state is audited with core.Verify
-// before it is installed.
+// always recomputed and every accepted state is audited (core.VerifyDelta
+// against the installed state, which skips re-validating the templates the
+// memo hands back unchanged) before it is installed.
 package service
 
 import (

@@ -27,7 +27,9 @@ type Config struct {
 	// requests. Default 2s; negative values are rejected.
 	AdmitTimeout time.Duration
 	// FullRepartition disables the incremental Phase-2 warm path: every
-	// mutation re-runs the full (memo-backed) FEDCONS analysis. The default
+	// mutation re-runs the full (memo-backed) FEDCONS analysis. It does not
+	// change the audit: either way each mutation is checked by
+	// core.VerifyDelta against the installed allocation. The default
 	// (false) serves untraced single low-density admissions and removals
 	// from the shard's live partition state — byte-identical output, pinned
 	// by the warm-path differential tests. No daemon flag sets it: it is the

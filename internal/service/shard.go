@@ -33,7 +33,9 @@ import (
 // analyses always run against a quiescent state; reads take an RWMutex
 // read-lock on the installed snapshot and never block behind an analysis in
 // progress. Every state the shard installs — and therefore every state a
-// reader can observe — has passed core.Verify.
+// reader can observe — has passed core.Verify: recovery runs it, and every
+// mutation runs core.VerifyDelta against the installed state, which accepts
+// exactly what Verify accepts.
 //
 // Durability model: when a store is attached, the mutation record is
 // appended and fsynced to the WAL *before* the new state is installed or
@@ -303,11 +305,12 @@ func (s *Shard) nextTraceID() string {
 }
 
 // Admit trial-admits tk: it runs the full two-phase FEDCONS test on the
-// current system plus tk, audits the resulting allocation with core.Verify,
-// and installs it only if both succeed. The returned status is the HTTP
-// status the daemon would serve: 200 installed, 409 rejected by the
-// analysis (body = Verdict with the failure reason) or duplicate name,
-// 429 shed, 504 deadline expired, 500 audit or WAL failure (state unchanged).
+// current system plus tk, audits the resulting allocation with
+// core.VerifyDelta, and installs it only if both succeed. The returned
+// status is the HTTP status the daemon would serve: 200 installed, 409
+// rejected by the analysis (body = Verdict with the failure reason) or
+// duplicate name, 429 shed, 504 deadline expired, 500 audit or WAL failure
+// (state unchanged).
 func (s *Shard) Admit(ctx context.Context, tk *task.DAGTask) (int, []byte) {
 	return s.AdmitTrace(ctx, tk, s.nextTraceID(), nil)
 }
@@ -529,11 +532,11 @@ type mutation struct {
 
 // commit is the one sequence every admit, batch and remove runs, warm or
 // full: analyse the trial system (the warm step, or the memoized full
-// analysis under the speculated recorder) → audit it (core.VerifyDelta
-// after the warm step, core.Verify otherwise) → append it to the WAL →
-// install → count → maybeSnapshot → verdict → flight entry. Writer-loop
-// only: as the sole writer it reads s.sys without the lock and takes the
-// lock only to install.
+// analysis under the speculated recorder) → audit it with core.VerifyDelta
+// against the installed, already audited allocation (a full audit when the
+// shard is empty) → append it to the WAL → install → count → maybeSnapshot →
+// verdict → flight entry. Writer-loop only: as the sole writer it reads
+// s.sys without the lock and takes the lock only to install.
 func (s *Shard) commit(mu mutation) opResult {
 	remove := mu.op == "remove"
 	var (
@@ -594,14 +597,10 @@ func (s *Shard) commit(mu mutation) opResult {
 		return s.noteFlight(errResult(http.StatusInternalServerError, msg), mu.meta, mu.op, mu.label, sampled, trace)
 	}
 	if mu.trial != nil {
-		if mu.warm {
-			err = core.VerifyDelta(mu.trial, s.cfg.M, alloc, s.sys, s.alloc)
-		} else {
-			err = core.Verify(mu.trial, s.cfg.M, alloc)
-		}
-		if err != nil {
-			// The audit is the last line of defense: never install an
-			// allocation the independent checker rejects.
+		// The audit is the last line of defense: never install an allocation
+		// the independent checker rejects. The installed allocation passed
+		// it, so only what differs from it is re-checked.
+		if err := core.VerifyDelta(mu.trial, s.cfg.M, alloc, s.sys, s.alloc); err != nil {
 			return fail("allocation failed verification: " + err.Error())
 		}
 	}

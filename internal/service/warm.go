@@ -8,9 +8,9 @@ import (
 // This file decides when the shard's warm admission path applies and keeps
 // its state in step: untraced single mutations of a task the installed shape
 // places on a shared processor are analysed by the live core.LowState's
-// Admit / Remove instead of the full analysis (commit's warm step), then
-// audited with core.VerifyDelta; the WAL append, install and verdict that
-// follow are the full path's own.
+// Admit / Remove instead of the full analysis (commit's warm step); the
+// audit, WAL append, install and verdict that follow are the full path's
+// own.
 //
 // The state holds one incremental partition.State per bank of shared
 // processors, so every shape rides the same code:

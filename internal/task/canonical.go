@@ -195,7 +195,13 @@ func mix(a, b uint64) uint64 {
 // WCETs and adjacency under the same labeling; names are ignored). This is
 // the equality the admission cache uses to guard hash lookups, so a cache
 // hit implies a byte-identical Phase-1 analysis.
+//
+// A task is the same input as itself without a look at its graph: every memo
+// hit on an installed task compares the task with itself.
 func SameAnalysisInput(a, b *DAGTask) bool {
+	if a == b {
+		return true
+	}
 	if a.D != b.D || a.T != b.T || a.G.N() != b.G.N() || a.G.M() != b.G.M() {
 		return false
 	}

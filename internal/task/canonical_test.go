@@ -60,6 +60,11 @@ func TestSameAnalysisInput(t *testing.T) {
 	if !SameAnalysisInput(a, b) {
 		t.Fatal("identical structure with different names should match")
 	}
+	// The pointer check answers before the graph is read, so even a task
+	// with no graph is the same input as itself.
+	if bare := (&DAGTask{Name: "bare"}); !SameAnalysisInput(bare, bare) {
+		t.Fatal("a task should match itself")
+	}
 	if SameAnalysisInput(a, MustNew("a", dag.Example1(), 15, 20)) {
 		t.Fatal("different D should not match")
 	}
